@@ -149,9 +149,6 @@ pub struct Scenario {
     probe: BinnedCounter,
     /// Scratch buffer for packets produced by endpoint handlers.
     outbox: Vec<Packet>,
-    /// Scratch buffer for same-timestamp event batches (the unbudgeted hot
-    /// loop drains one timestamp's run per scheduler call).
-    batch_buf: Vec<Event>,
     generated: u64,
     event_log: Option<EventLog>,
     /// Per-event-class dispatch counts (and timing with `event-timing` on).
@@ -256,7 +253,6 @@ impl Scenario {
             sources,
             probe,
             outbox: Vec::with_capacity(64),
-            batch_buf: Vec::with_capacity(64),
             generated: 0,
             event_log: cfg
                 .trace_events
@@ -385,20 +381,12 @@ impl Scenario {
         let horizon = SimTime::ZERO + self.cfg.duration;
 
         if budget.is_unlimited() && !self.cfg.audit {
-            // Batch dispatch: pull each timestamp's full run of events in
-            // one scheduler call and dispatch it as a slice — one queue
-            // search amortized over the whole run instead of per event.
-            // Events scheduled *during* the batch at the same instant land
-            // after it in `(time, seq)` order, so the next `drain_due` call
-            // picks them up and the dispatch order is event-for-event
-            // identical to the single-pop loop.
-            let mut batch = std::mem::take(&mut self.batch_buf);
-            while self.sched.drain_due(horizon, &mut batch).is_some() {
-                for event in batch.drain(..) {
-                    self.dispatch(event);
-                }
+            // Batch dispatch: the scheduler takes each timestamp's full run
+            // of events out of the queue in one search, and the dispatch
+            // order stays event-for-event that of the single-pop loop.
+            while let Some((_, event)) = self.sched.pop_batched(horizon) {
+                self.dispatch(event);
             }
-            self.batch_buf = batch; // keep the allocation
             self.wall_clock += started.elapsed();
             return None;
         }

@@ -50,7 +50,7 @@ use crate::supervise::{run_point, RunBudget, RunError};
 /// Version of the engine's observable behaviour. Bumping it invalidates
 /// every result-store entry and every resume journal at once — do so
 /// whenever a simulation change moves any reported number.
-pub const ENGINE_SCHEMA_VERSION: u32 = 3;
+pub const ENGINE_SCHEMA_VERSION: u32 = 4;
 
 // ---------------------------------------------------------------------------
 // SHA-256 (in-tree: the workspace builds fully offline, no external crates)

@@ -127,3 +127,26 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     assert_eq!(err.kind(), "io");
     let _ = fs::remove_file(&path);
 }
+
+/// A journal written by the schema-3 engine carries `events` counts from
+/// before the lazy transmit clock; resuming from it must fail loudly, not
+/// mix its lines into a schema-4 sweep.
+#[test]
+fn resume_rejects_a_schema_3_journal() {
+    let cfg = ScenarioBuilder::paper()
+        .instrumentation(|i| i.secs(2).seed(7))
+        .finish();
+    let protocols = [Protocol::Udp];
+    let clients = [3usize];
+    let path = temp_journal();
+    let sweep = SweepSupervisor::new(&cfg, &protocols, &clients).jobs(1);
+    sweep.run_with_journal(&path).expect("temp journal is writable");
+    let raw = fs::read_to_string(&path).expect("journal exists");
+    assert!(raw.contains("\"schema_version\":4"));
+    fs::write(&path, raw.replace("\"schema_version\":4", "\"schema_version\":3")).unwrap();
+
+    let err = sweep.resume_from(&path).expect_err("schema-3 journal is rejected");
+    assert_eq!(err.kind(), "io");
+    assert!(err.to_string().contains("engine schema 3"), "{err}");
+    let _ = fs::remove_file(&path);
+}

@@ -38,6 +38,7 @@
 //! reference in `tests/prop_calendar.rs`.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -394,9 +395,9 @@ impl<E> Calendar<E> {
     }
 
     /// Pops *every* entry sharing the earliest pending timestamp, provided
-    /// it is at most `horizon`, appending the events to `out` in ascending
-    /// `seq` (FIFO) order. Returns the shared timestamp, or `None` when
-    /// nothing is due.
+    /// it is at most `horizon`, appending `(seq, event)` pairs to `out` in
+    /// ascending `seq` (FIFO) order. Returns the shared timestamp, or `None`
+    /// when nothing is due.
     ///
     /// Equal timestamps hash to the same day, so the whole run lives in one
     /// bucket; buckets are sorted descending by `(time, seq)`, so the run is
@@ -404,7 +405,11 @@ impl<E> Calendar<E> {
     /// `seq`. One bucket scan and one occupancy update amortize the queue
     /// overhead across the run — the win on the synchronized event bursts
     /// this simulator exists to produce.
-    pub(crate) fn pop_due_run(&mut self, horizon: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
+    pub(crate) fn pop_due_run(
+        &mut self,
+        horizon: SimTime,
+        out: &mut VecDeque<(u64, E)>,
+    ) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
@@ -414,12 +419,9 @@ impl<E> Calendar<E> {
         if run_time > horizon {
             return None;
         }
-        while let Some(tail) = bucket.last() {
-            if tail.time != run_time {
-                break;
-            }
+        while bucket.last().is_some_and(|tail| tail.time == run_time) {
             let entry = bucket.pop().expect("tail just checked");
-            out.push(entry.event);
+            out.push_back((entry.seq, entry.event));
             self.len -= 1;
         }
         if self.buckets[idx].is_empty() {

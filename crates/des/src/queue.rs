@@ -1,7 +1,7 @@
 //! The future-event list.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::calendar::{Calendar, Entry};
 use crate::time::SimTime;
@@ -147,8 +147,31 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at absolute time `time` and returns the
     /// [`EventKey`] that can later [`cancel`](EventQueue::cancel) it.
     pub fn push_keyed(&mut self, time: SimTime, event: E) -> EventKey {
+        let seq = self.reserve_seq();
+        self.push_reserved(time, seq, event)
+    }
+
+    /// Claims the next sequence number without scheduling anything.
+    ///
+    /// The number is spent exactly as if an event had been pushed: later
+    /// pushes sequence after it. [`push_reserved`](EventQueue::push_reserved)
+    /// can redeem it afterwards, and the event then pops in the place a push
+    /// made at reservation time would have taken. A reservation that is
+    /// never redeemed leaves no trace beyond the gap in the numbering.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `event` at `time` under a sequence number previously
+    /// claimed with [`reserve_seq`](EventQueue::reserve_seq).
+    ///
+    /// Redeeming a number twice, or one never reserved, breaks the
+    /// uniqueness of `(time, seq)` that the FIFO tie-break and
+    /// [`cancel`](EventQueue::cancel) rely on.
+    pub fn push_reserved(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
         match &mut self.inner {
             Inner::Calendar(cal) => cal.push(Entry { time, seq, event }),
             Inner::Heap(heap) => heap.push(HeapEntry { time, seq, event }),
@@ -175,24 +198,29 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_entry().map(|(time, _, event)| (time, event))
+    }
+
+    /// [`pop`](EventQueue::pop), also returning the event's sequence number.
+    pub(crate) fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         match &mut self.inner {
-            Inner::Calendar(cal) => cal.pop().map(|e| (e.time, e.event)),
-            Inner::Heap(heap) => heap.pop().map(|e| (e.time, e.event)),
+            Inner::Calendar(cal) => cal.pop().map(|e| (e.time, e.seq, e.event)),
+            Inner::Heap(heap) => heap.pop().map(|e| (e.time, e.seq, e.event)),
         }
     }
 
-    /// Removes and returns the earliest event only if its timestamp is at
-    /// most `horizon`; otherwise leaves the queue untouched and returns
-    /// `None`.
+    /// Removes and returns the earliest event, with its sequence number,
+    /// only if its timestamp is at most `horizon`; otherwise leaves the
+    /// queue untouched and returns `None`.
     ///
     /// Equivalent to a [`peek_time`](EventQueue::peek_time) followed by a
     /// conditional [`pop`](EventQueue::pop), but the calendar backend pays
     /// for a single bucket scan instead of two.
-    pub fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+    pub(crate) fn pop_due_entry(&mut self, horizon: SimTime) -> Option<(SimTime, u64, E)> {
         match &mut self.inner {
-            Inner::Calendar(cal) => cal.pop_due(horizon).map(|e| (e.time, e.event)),
+            Inner::Calendar(cal) => cal.pop_due(horizon).map(|e| (e.time, e.seq, e.event)),
             Inner::Heap(heap) => match heap.peek() {
-                Some(e) if e.time <= horizon => heap.pop().map(|e| (e.time, e.event)),
+                Some(e) if e.time <= horizon => heap.pop().map(|e| (e.time, e.seq, e.event)),
                 _ => None,
             },
         }
@@ -200,19 +228,17 @@ impl<E> EventQueue<E> {
 
     /// Removes *every* event sharing the earliest pending timestamp — the
     /// same-timestamp *run* — provided that timestamp is at most `horizon`,
-    /// appending the events to `out` in FIFO (insertion) order.
+    /// appending `(seq, event)` pairs to `out` in FIFO (ascending `seq`)
+    /// order.
     ///
     /// Returns the run's shared timestamp, or `None` (with `out` untouched)
-    /// when nothing is due. Dispatching the returned batch in order is
-    /// exactly equivalent to repeated [`pop_due`](EventQueue::pop_due)
-    /// calls: events pushed *during* batch dispatch at the same timestamp
-    /// get higher sequence numbers, so they form the next run — the same
-    /// place single-pop dispatch would put them. Property-tested in
-    /// `tests/prop_calendar.rs`.
-    ///
-    /// The calendar backend pays one bucket scan and one occupancy update
-    /// for the whole run instead of one per event.
-    pub fn pop_due_run(&mut self, horizon: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
+    /// when nothing is due. The calendar backend pays one bucket scan and
+    /// one occupancy update for the whole run instead of one per event.
+    pub(crate) fn pop_due_run(
+        &mut self,
+        horizon: SimTime,
+        out: &mut VecDeque<(u64, E)>,
+    ) -> Option<SimTime> {
         match &mut self.inner {
             Inner::Calendar(cal) => cal.pop_due_run(horizon, out),
             Inner::Heap(heap) => {
@@ -222,12 +248,9 @@ impl<E> EventQueue<E> {
                 };
                 // A max-heap keyed on reversed (time, seq) pops equal times
                 // in ascending seq order, i.e. FIFO.
-                while let Some(e) = heap.peek() {
-                    if e.time != run_time {
-                        break;
-                    }
+                while heap.peek().is_some_and(|e| e.time == run_time) {
                     let e = heap.pop().expect("peek just succeeded");
-                    out.push(e.event);
+                    out.push_back((e.seq, e.event));
                 }
                 Some(run_time)
             }
@@ -381,19 +404,45 @@ mod tests {
             q.push(t, 2);
             q.push(t, 3);
             q.push(SimTime::from_millis(3), 4);
-            let mut out = Vec::new();
+            let mut out = VecDeque::new();
             // First run: the lone earlier event.
             assert_eq!(q.pop_due_run(SimTime::from_millis(9), &mut out), Some(SimTime::from_millis(1)));
-            assert_eq!(out, [0]);
+            assert_eq!(out, [(0, 0)]);
             // Second run: all three tied events, in insertion order.
             out.clear();
             assert_eq!(q.pop_due_run(SimTime::from_millis(9), &mut out), Some(t));
-            assert_eq!(out, [1, 2, 3]);
+            assert_eq!(out, [(1, 1), (2, 2), (3, 3)]);
             // Horizon before the next event: nothing due, queue untouched.
             out.clear();
             assert_eq!(q.pop_due_run(t, &mut out), None);
             assert!(out.is_empty());
             assert_eq!(q.len(), 1);
+        }
+    }
+
+    #[test]
+    fn reserved_seq_pops_where_a_push_would_have() {
+        for mut q in both() {
+            let t = SimTime::from_millis(5);
+            q.push(t, 0);
+            let seq = q.reserve_seq();
+            q.push(t, 2);
+            q.push(t, 3);
+            // Redeemed after later pushes, it still pops in its reserved place.
+            q.push_reserved(t, seq, 1);
+            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, [0, 1, 2, 3]);
+            assert_eq!(q.scheduled_total(), 4);
+        }
+    }
+
+    #[test]
+    fn unredeemed_reservation_leaves_only_a_gap() {
+        for mut q in both() {
+            q.reserve_seq();
+            q.push(SimTime::ZERO, 7);
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop_entry(), Some((SimTime::ZERO, 1, 7)));
         }
     }
 

@@ -1,5 +1,8 @@
 //! The virtual clock and simulation loop driver.
 
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::queue::{EventKey, EventQueue, QueueBackend};
 use crate::time::{SimDuration, SimTime};
 
@@ -26,6 +29,17 @@ use crate::time::{SimDuration, SimTime};
 /// the clock monotone: no event ever observes a world state newer than its
 /// own timestamp.
 ///
+/// # Reserved slots
+///
+/// Every event has a `(time, seq)` key, and dispatch walks keys in
+/// ascending order. [`reserve_seq`](Scheduler::reserve_seq) claims a
+/// sequence number without scheduling anything, so a caller can decide
+/// *later* whether an event belongs in that slot. While the slot is still
+/// [ahead](Scheduler::is_ahead) of the event being dispatched,
+/// [`schedule_at_reserved`](Scheduler::schedule_at_reserved) puts the
+/// event exactly where an eager push would have, so skipping events that
+/// would have done nothing never changes the dispatch order of the rest.
+///
 /// # Example
 ///
 /// ```
@@ -46,8 +60,21 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Debug)]
 pub struct Scheduler<E> {
+    /// Distinguishes this scheduler from every other one in the process.
+    id: u64,
     queue: EventQueue<E>,
+    /// The rest of the same-timestamp run being dispatched by
+    /// [`pop_batched`](Scheduler::pop_batched): `(seq, event)` pairs, all at
+    /// `now`, in ascending `seq` order.
+    batch: VecDeque<(u64, E)>,
+    /// Sequence numbers below this were allocated before the current run
+    /// was drained, so a reserved slot among them belongs inside the run;
+    /// zero outside batched dispatch.
+    batch_floor: u64,
     now: SimTime,
+    /// One past the sequence number of the event being dispatched (zero
+    /// before the first): a slot `(now, seq)` is ahead iff `seq >= cursor`.
+    cursor: u64,
     processed: u64,
     pending_peak: usize,
 }
@@ -77,12 +104,28 @@ impl<E> Scheduler<E> {
     /// total order); the choice only affects speed, and exists so benchmarks
     /// can A/B the calendar queue against the binary-heap reference.
     pub fn with_capacity_and_backend(capacity: usize, backend: QueueBackend) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        /// Same-timestamp runs rarely exceed this; sizing the batch up front
+        /// keeps its growth out of the steady-state loop.
+        const BATCH_HINT: usize = 64;
         Scheduler {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             queue: EventQueue::with_capacity_and_backend(capacity, backend),
+            batch: VecDeque::with_capacity(capacity.min(BATCH_HINT)),
+            batch_floor: 0,
             now: SimTime::ZERO,
+            cursor: 0,
             processed: 0,
             pending_peak: 0,
         }
+    }
+
+    /// A process-unique identity. Reserved sequence numbers mean something
+    /// only to the scheduler that issued them, so state holding one across
+    /// schedulers (a network driven by a fresh scheduler per run) checks
+    /// this first.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Which backend the future-event list runs on.
@@ -102,7 +145,7 @@ impl<E> Scheduler<E> {
     }
 
     fn note_pushed(&mut self) {
-        let len = self.queue.len();
+        let len = self.pending();
         if len > self.pending_peak {
             self.pending_peak = len;
         }
@@ -162,24 +205,106 @@ impl<E> Scheduler<E> {
         self.note_pushed();
     }
 
+    /// Claims the next sequence number without scheduling anything (see
+    /// [Reserved slots](Scheduler#reserved-slots)).
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedules `event` in the reserved slot `(time, seq)`.
+    ///
+    /// The event dispatches exactly where one pushed at reservation time
+    /// would have. A slot at the current instant whose number predates the
+    /// run being dispatched lands in its place within that run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is in the past; debug builds also panic if the
+    /// slot is no longer [ahead](Scheduler::is_ahead) of the dispatch
+    /// position, since the event would then run out of order.
+    pub fn schedule_at_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        assert!(
+            time >= self.now,
+            "cannot schedule into the past: now={}, requested={}",
+            self.now,
+            time
+        );
+        debug_assert!(self.is_ahead(time, seq), "reserved slot ({time}, {seq}) already passed");
+        if time == self.now && seq < self.batch_floor {
+            let at = self.batch.partition_point(|&(s, _)| s < seq);
+            self.batch.insert(at, (seq, event));
+        } else {
+            self.queue.push_reserved(time, seq, event);
+        }
+        self.note_pushed();
+    }
+
+    /// Sequence number of the event most recently dispatched, `None` before
+    /// the first.
+    pub fn current_seq(&self) -> Option<u64> {
+        self.cursor.checked_sub(1)
+    }
+
+    /// True if the slot `(time, seq)` is still ahead of the dispatch
+    /// position — an event scheduled there would not have run yet.
+    ///
+    /// When a pop parks the clock at its horizon, every number allocated so
+    /// far counts as passed at the parked instant, as if their events had
+    /// all dispatched.
+    #[inline]
+    pub fn is_ahead(&self, time: SimTime, seq: u64) -> bool {
+        time > self.now || (time == self.now && seq >= self.cursor)
+    }
+
     /// Deletes a previously scheduled event before it pops, returning it.
     ///
     /// Returns `None` when the event already popped or was already
     /// cancelled — and always on the [`QueueBackend::BinaryHeap`] backend,
     /// which cannot delete interior entries (callers then fall back to lazy
     /// generation-counter invalidation; see [`TimerSlot`](crate::TimerSlot)).
+    /// An event in the run [`pop_batched`](Scheduler::pop_batched) is
+    /// dispatching has already left the queue, so cancelling it misses too.
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
         self.queue.cancel(key)
+    }
+
+    /// Records that the event `(time, seq)` is being dispatched.
+    #[inline]
+    fn dispatch(&mut self, time: SimTime, seq: u64) {
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        self.cursor = seq + 1;
+        self.processed += 1;
+    }
+
+    /// Takes the next event of the current run, if any is left.
+    #[inline]
+    fn next_in_batch(&mut self) -> Option<(SimTime, E)> {
+        let (seq, event) = self.batch.pop_front()?;
+        self.dispatch(self.now, seq);
+        Some((self.now, event))
+    }
+
+    /// Advances the clock to `horizon` when nothing is due by then; every
+    /// sequence number allocated so far now counts as passed.
+    fn park(&mut self, horizon: SimTime) {
+        if self.now < horizon {
+            self.now = horizon;
+        }
+        self.cursor = self.queue.scheduled_total();
+        self.batch_floor = 0;
     }
 
     /// Removes the earliest event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when no events remain; the clock stays where it was.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (time, event) = self.queue.pop()?;
-        debug_assert!(time >= self.now, "event queue went backwards");
-        self.now = time;
-        self.processed += 1;
+        if let Some(next) = self.next_in_batch() {
+            return Some(next);
+        }
+        let (time, seq, event) = self.queue.pop_entry()?;
+        self.batch_floor = 0;
+        self.dispatch(time, seq);
         Some((time, event))
     }
 
@@ -189,56 +314,56 @@ impl<E> Scheduler<E> {
     /// advanced to exactly `horizon`. Use this to end a run at a fixed
     /// duration without draining stragglers.
     pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.queue.pop_due(horizon) {
-            Some((time, event)) => {
-                debug_assert!(time >= self.now, "event queue went backwards");
-                self.now = time;
-                self.processed += 1;
+        if self.now <= horizon {
+            if let Some(next) = self.next_in_batch() {
+                return Some(next);
+            }
+        }
+        match self.queue.pop_due_entry(horizon) {
+            Some((time, seq, event)) => {
+                self.batch_floor = 0;
+                self.dispatch(time, seq);
                 Some((time, event))
             }
             None => {
-                if self.now < horizon {
-                    self.now = horizon;
-                }
+                self.park(horizon);
                 None
             }
         }
     }
 
-    /// Pops every event sharing the earliest due timestamp (at most
-    /// `horizon`) into `out`, advancing the clock to that timestamp.
+    /// Like [`Scheduler::pop_until`], but takes each timestamp's whole run
+    /// of events out of the queue in one search and hands it out one event
+    /// per call — the dispatch loop's fast path.
     ///
-    /// Returns the batch's shared timestamp. When nothing is due the clock
-    /// advances to exactly `horizon` (mirroring
-    /// [`pop_until`](Scheduler::pop_until)) and `None` is returned with
-    /// `out` untouched.
-    ///
-    /// Dispatching the batch in order is event-for-event equivalent to a
-    /// [`pop_until`](Scheduler::pop_until) loop: same-instant events pushed
-    /// *during* dispatch sequence after the batch, exactly where single-pop
-    /// would place them, and the next `drain_due` call picks them up (the
-    /// clock sits at their timestamp, which is still within `horizon`).
-    pub fn drain_due(&mut self, horizon: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
-        let before = out.len();
-        match self.queue.pop_due_run(horizon, out) {
-            Some(time) => {
-                debug_assert!(time >= self.now, "event queue went backwards");
-                self.now = time;
-                self.processed += (out.len() - before) as u64;
-                Some(time)
-            }
-            None => {
-                if self.now < horizon {
-                    self.now = horizon;
+    /// The dispatch order is event-for-event that of
+    /// [`pop_until`](Scheduler::pop_until): same-instant events pushed
+    /// while a run is dispatching get higher sequence numbers and form the
+    /// next run, exactly where single-pop would place them, and a reserved
+    /// slot inside the run is filled in place by
+    /// [`schedule_at_reserved`](Scheduler::schedule_at_reserved). The only
+    /// observable difference is that [`cancel`](Scheduler::cancel) misses
+    /// events of the run being dispatched.
+    pub fn pop_batched(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        if self.batch.is_empty() {
+            self.batch_floor = self.queue.scheduled_total();
+            match self.queue.pop_due_run(horizon, &mut self.batch) {
+                Some(time) => {
+                    debug_assert!(time >= self.now, "event queue went backwards");
+                    self.now = time;
                 }
-                None
+                None => {
+                    self.park(horizon);
+                    return None;
+                }
             }
         }
+        self.next_in_batch()
     }
 
-    /// Number of events pending in the queue.
+    /// Number of events scheduled and not yet dispatched.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.batch.len()
     }
 
     /// Highest number of simultaneously pending events seen so far.
@@ -259,7 +384,11 @@ impl<E> Scheduler<E> {
 
     /// The timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        if self.batch.is_empty() {
+            self.queue.peek_time()
+        } else {
+            Some(self.now)
+        }
     }
 }
 
@@ -353,38 +482,70 @@ mod tests {
     }
 
     #[test]
-    fn drain_due_pops_whole_run_and_parks_at_horizon() {
+    fn pop_batched_hands_out_the_run_and_parks_at_horizon() {
         let mut s = Scheduler::new();
         let t = SimTime::from_millis(3);
         s.schedule_at(t, "a");
         s.schedule_at(t, "b");
         s.schedule_at(SimTime::from_secs(10), "late");
-        let mut batch = Vec::new();
-        assert_eq!(s.drain_due(SimTime::from_secs(5), &mut batch), Some(t));
-        assert_eq!(batch, ["a", "b"]);
-        assert_eq!(s.now(), t);
+        let horizon = SimTime::from_secs(5);
+        assert_eq!(s.pop_batched(horizon), Some((t, "a")));
+        // The rest of the run left the queue but still counts as pending.
+        assert_eq!(s.pending(), 2);
+        assert_eq!(s.peek_time(), Some(t));
+        assert_eq!(s.pop_batched(horizon), Some((t, "b")));
         assert_eq!(s.processed(), 2);
-        batch.clear();
-        assert_eq!(s.drain_due(SimTime::from_secs(5), &mut batch), None);
-        assert!(batch.is_empty());
-        assert_eq!(s.now(), SimTime::from_secs(5));
+        assert_eq!(s.pop_batched(horizon), None);
+        assert_eq!(s.now(), horizon);
         assert_eq!(s.pending(), 1);
     }
 
     #[test]
-    fn drain_due_then_same_instant_push_forms_next_batch() {
-        // An event scheduled *at* the batch timestamp during dispatch must
-        // come out of the following drain_due call, as in single-pop order.
+    fn same_instant_push_during_a_run_forms_the_next_run() {
         let mut s = Scheduler::new();
         let t = SimTime::from_millis(1);
         s.schedule_at(t, "first");
-        let mut batch = Vec::new();
-        assert_eq!(s.drain_due(SimTime::from_secs(1), &mut batch), Some(t));
-        assert_eq!(batch, ["first"]);
-        s.schedule_now("second");
-        batch.clear();
-        assert_eq!(s.drain_due(SimTime::from_secs(1), &mut batch), Some(t));
-        assert_eq!(batch, ["second"]);
+        s.schedule_at(t, "second");
+        assert_eq!(s.pop_batched(SimTime::from_secs(1)), Some((t, "first")));
+        s.schedule_now("third");
+        assert_eq!(s.pop_batched(SimTime::from_secs(1)), Some((t, "second")));
+        assert_eq!(s.pop_batched(SimTime::from_secs(1)), Some((t, "third")));
+    }
+
+    #[test]
+    fn reserved_slot_fills_in_place_within_the_run() {
+        let mut s = Scheduler::new();
+        let t = SimTime::from_millis(2);
+        s.schedule_at(t, "a");
+        let slot = s.reserve_seq();
+        s.schedule_at(t, "c");
+        let horizon = SimTime::from_secs(1);
+        assert_eq!(s.pop_batched(horizon), Some((t, "a")));
+        assert!(s.is_ahead(t, slot));
+        s.schedule_at_reserved(t, slot, "b");
+        s.schedule_now("d");
+        let rest: Vec<_> = std::iter::from_fn(|| s.pop_batched(horizon)).map(|(_, e)| e).collect();
+        assert_eq!(rest, ["b", "c", "d"]);
+    }
+
+    #[test]
+    fn passed_slots_and_parking() {
+        let mut s = Scheduler::new();
+        let slot = s.reserve_seq();
+        assert_eq!(s.current_seq(), None);
+        assert!(s.is_ahead(SimTime::ZERO, slot), "nothing has dispatched yet");
+        s.schedule_at(SimTime::from_millis(1), "x");
+        s.pop();
+        assert_eq!(s.current_seq(), Some(1));
+        assert!(!s.is_ahead(SimTime::from_millis(1), slot));
+        assert!(s.is_ahead(SimTime::from_millis(2), slot));
+        let late = s.reserve_seq();
+        assert!(s.is_ahead(SimTime::from_millis(1), late));
+        // Parking at the horizon passes every number allocated so far.
+        assert_eq!(s.pop_until(SimTime::from_millis(5)), None);
+        assert!(!s.is_ahead(SimTime::from_millis(5), late));
+        let fresh = s.reserve_seq();
+        assert!(s.is_ahead(SimTime::from_millis(5), fresh));
     }
 
     #[test]

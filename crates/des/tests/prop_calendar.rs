@@ -9,7 +9,7 @@
 //! piles events into few buckets, so both resize directions get exercised.
 
 use proptest::prelude::*;
-use tcpburst_des::{EventKey, EventQueue, QueueBackend, SimTime};
+use tcpburst_des::{EventKey, EventQueue, QueueBackend, Scheduler, SimTime};
 
 /// A step decoded from one opcode: push (with a time), pop, or cancel one
 /// of the still-live keys.
@@ -105,37 +105,29 @@ proptest! {
         run_interleaving(&ops, 4)?;
     }
 
-    /// Batch drain is event-for-event equivalent to single-pop on both
-    /// backends: the concatenated `pop_due_run` batches reproduce the exact
-    /// pop sequence, and each batch holds one timestamp's full run.
+    /// Batched dispatch is event-for-event equivalent to single-pop on both
+    /// backends: `pop_batched` reproduces the exact `pop_until` sequence,
+    /// parks at the same horizon and leaves the same events pending.
     #[test]
     fn prop_batch_drain_equals_single_pop(
         times in proptest::collection::vec(0u64..2_000, 0..400),
         horizon in 0u64..2_500,
     ) {
         for backend in [QueueBackend::Calendar, QueueBackend::BinaryHeap] {
-            let mut single: EventQueue<usize> = EventQueue::with_capacity_and_backend(0, backend);
-            let mut batched: EventQueue<usize> = EventQueue::with_capacity_and_backend(0, backend);
+            let mut single: Scheduler<usize> = Scheduler::with_capacity_and_backend(0, backend);
+            let mut batched: Scheduler<usize> = Scheduler::with_capacity_and_backend(0, backend);
             for (i, &t) in times.iter().enumerate() {
-                single.push(SimTime::from_nanos(t), i);
-                batched.push(SimTime::from_nanos(t), i);
+                single.schedule_at(SimTime::from_nanos(t), i);
+                batched.schedule_at(SimTime::from_nanos(t), i);
             }
             let horizon = SimTime::from_nanos(horizon);
-            let mut popped: Vec<(u64, usize)> = Vec::new();
-            while let Some((t, e)) = single.pop_due(horizon) {
-                popped.push((t.as_nanos(), e));
-            }
-            let mut drained: Vec<(u64, usize)> = Vec::new();
-            let mut batch: Vec<usize> = Vec::new();
-            while let Some(t) = batched.pop_due_run(horizon, &mut batch) {
-                // All prior runs strictly precede this one in time.
-                if let Some(&(prev, _)) = drained.last() {
-                    prop_assert!(prev < t.as_nanos(), "runs out of order");
-                }
-                drained.extend(batch.drain(..).map(|e| (t.as_nanos(), e)));
-            }
-            prop_assert_eq!(&popped, &drained, "batch drain diverged from single-pop");
-            prop_assert_eq!(single.len(), batched.len());
+            let popped: Vec<(SimTime, usize)> =
+                std::iter::from_fn(|| single.pop_until(horizon)).collect();
+            let drained: Vec<(SimTime, usize)> =
+                std::iter::from_fn(|| batched.pop_batched(horizon)).collect();
+            prop_assert_eq!(&popped, &drained, "batched dispatch diverged from single-pop");
+            prop_assert_eq!(single.now(), batched.now());
+            prop_assert_eq!(single.pending(), batched.pending());
         }
     }
 

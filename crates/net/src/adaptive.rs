@@ -10,7 +10,7 @@
 
 use tcpburst_des::{SimDuration, SimTime};
 
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketId};
 use crate::queue::{EnqueueOutcome, Occupancy, Queue, QueueStats, RedParams, RedQueue};
 
 /// Adaptation knobs for [`SelfConfiguringRed`].
@@ -135,13 +135,13 @@ impl SelfConfiguringRed {
 }
 
 impl Queue for SelfConfiguringRed {
-    fn enqueue(&mut self, pkt: Packet, now: SimTime) -> EnqueueOutcome {
-        let outcome = self.inner.enqueue(pkt, now);
+    fn enqueue(&mut self, id: PacketId, pkt: &mut Packet, now: SimTime) -> EnqueueOutcome {
+        let outcome = self.inner.enqueue(id, pkt, now);
         self.maybe_adapt(now);
         outcome
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+    fn dequeue(&mut self, now: SimTime) -> Option<PacketId> {
         self.inner.dequeue(now)
     }
 
@@ -162,6 +162,7 @@ impl Queue for SelfConfiguringRed {
 mod tests {
     use super::*;
     use crate::packet::{Ecn, FlowId, NodeId, PacketKind};
+    use crate::queue::testbed::Bed;
 
     fn pkt() -> Packet {
         Packet {
@@ -175,8 +176,8 @@ mod tests {
         }
     }
 
-    fn queue(weight: f64) -> SelfConfiguringRed {
-        SelfConfiguringRed::new(
+    fn queue(weight: f64) -> Bed<SelfConfiguringRed> {
+        Bed::new(SelfConfiguringRed::new(
             RedParams {
                 min_th: 5.0,
                 max_th: 15.0,
@@ -188,7 +189,7 @@ mod tests {
             },
             AdaptiveRedParams::default(),
             3,
-        )
+        ))
     }
 
     #[test]

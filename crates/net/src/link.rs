@@ -26,6 +26,25 @@ pub struct LinkStats {
     pub arrived: u64,
 }
 
+/// The reserved completion slot of the serialization a transmitter is
+/// running.
+///
+/// The link's `TxComplete` event owns the `(until, seq)` slot whether or not
+/// it is in the event queue: it is scheduled only once a packet is waiting,
+/// because a completion that finds the queue empty changes nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TxSlot {
+    /// When the serialization ends.
+    pub(crate) until: SimTime,
+    /// The sequence number reserved for its `TxComplete`.
+    pub(crate) seq: u64,
+    /// [`id`](tcpburst_des::Scheduler::id) of the scheduler that issued
+    /// `seq`.
+    pub(crate) sched: u64,
+    /// Whether the `TxComplete` is in the event queue.
+    pub(crate) scheduled: bool,
+}
+
 /// A one-directional link: a queue, a serialization rate and a propagation
 /// delay.
 ///
@@ -44,7 +63,10 @@ pub struct Link {
     /// per-packet enqueue/dequeue pair is the hottest call in the simulator
     /// and must not go through a vtable.
     queue: AnyQueue,
-    busy: bool,
+    /// The serialization in progress, from its start until its
+    /// `TxComplete` is handled (or, unscheduled, its slot passes); `None`
+    /// while the transmitter is idle or down.
+    pub(crate) tx: Option<TxSlot>,
     /// False while the link is administratively down (fault injection).
     up: bool,
     /// Incremented on every down transition; events stamped with an older
@@ -84,7 +106,7 @@ impl Link {
             bandwidth_bps,
             delay,
             queue: queue.into(),
-            busy: false,
+            tx: None,
             up: true,
             epoch: 0,
             corrupt_prob: 0.0,
@@ -167,7 +189,7 @@ impl Link {
     pub(crate) fn set_up(&mut self, up: bool) {
         if self.up && !up {
             self.epoch = self.epoch.wrapping_add(1);
-            self.busy = false;
+            self.tx = None;
         }
         self.up = up;
     }
@@ -205,16 +227,6 @@ impl Link {
     /// The admission queue, mutably.
     pub fn queue_mut(&mut self) -> &mut AnyQueue {
         &mut self.queue
-    }
-
-    /// True while a packet is being serialized.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
-    /// Marks the transmitter busy/idle (managed by [`Network`](crate::Network)).
-    pub(crate) fn set_busy(&mut self, busy: bool) {
-        self.busy = busy;
     }
 
     pub(crate) fn note_tx(&mut self, pkt: &Packet) {
@@ -322,10 +334,15 @@ mod tests {
         let mut l = link(1_000_000, 0);
         assert!(l.is_up());
         assert_eq!(l.epoch(), 0);
-        l.set_busy(true);
+        l.tx = Some(TxSlot {
+            until: SimTime::from_millis(8),
+            seq: 0,
+            sched: 0,
+            scheduled: false,
+        });
         l.set_up(false);
         assert!(!l.is_up());
-        assert!(!l.is_busy());
+        assert_eq!(l.tx, None);
         assert_eq!(l.epoch(), 1);
         // Coming back up does not bump the epoch again.
         l.set_up(true);

@@ -2,7 +2,7 @@
 
 use tcpburst_des::{Scheduler, SimDuration, SimRng};
 
-use crate::link::Link;
+use crate::link::{Link, TxSlot};
 use crate::packet::{LinkId, NodeId, Packet, PacketArena, PacketId};
 use crate::queue::{AnyQueue, EnqueueOutcome};
 
@@ -10,6 +10,10 @@ use crate::queue::{AnyQueue, EnqueueOutcome};
 ///
 /// The driving loop (in `tcpburst-core`) embeds these in its own event enum
 /// via `From`; the network's methods are generic over that enum.
+///
+/// A link schedules its `TxComplete` only when a packet is waiting for the
+/// transmitter; see [`Network`] for how the completion keeps its place in
+/// the dispatch order anyway.
 ///
 /// Both variants carry the link's up/down `epoch` at the instant
 /// serialization started. A link going down bumps its epoch, so events
@@ -33,10 +37,11 @@ pub enum NetEvent {
         /// The link's epoch when serialization started.
         epoch: u32,
         /// Ticket for the in-flight packet, parked in the network's
-        /// [`PacketArena`]. An 8-byte handle instead of the ~120-byte
+        /// [`PacketArena`]. An 8-byte handle instead of the ~100-byte
         /// packet keeps event-queue entries small — the single biggest
-        /// lever on calendar insert/pop cost. [`Network::on_delivery`]
-        /// redeems it; [`Network::packet`] peeks without redeeming.
+        /// lever on calendar insert/pop cost. [`Network::packet`] peeks at
+        /// it; [`Network::on_delivery`] forwards it or hands the packet
+        /// out.
         packet: PacketId,
     },
 }
@@ -97,6 +102,26 @@ const NO_ROUTE: u32 = u32::MAX;
 /// serializes them onto links, propagates them, and forwards at routers.
 /// Everything protocol- or measurement-shaped lives above it.
 ///
+/// # Packet lifecycle
+///
+/// A packet is copied into the network's [`PacketArena`] once, by
+/// [`inject`](Network::inject) or [`send_on`](Network::send_on). From then
+/// on queues and events pass its 8-byte [`PacketId`]; it is copied out
+/// once more when it reaches its destination host or dies on the wire, and
+/// its slot is freed there or at the queue that drops it.
+///
+/// # Lazy transmit clock
+///
+/// Starting a serialization reserves the sequence number its `TxComplete`
+/// would take, but schedules the event only if another packet is already
+/// waiting. A packet that reaches a busy or just-finished transmitter
+/// compares the reserved `(end, seq)` slot with the event being dispatched:
+/// if the slot is still ahead, the `TxComplete` is scheduled into exactly
+/// that slot; if it has passed, the completion would already have found
+/// the queue empty, and the packet starts transmitting at once. Either way
+/// the dispatch order, and so every result, is that of a transmitter that
+/// scheduled every completion — minus the completions with nothing to do.
+///
 /// # Example
 ///
 /// ```
@@ -144,9 +169,9 @@ pub struct Network {
     /// event queue's `(time, seq)` total order is identical on every
     /// backend, so the draws (and therefore the losses) are deterministic.
     wire_rng: SimRng,
-    /// Packets in flight on some link, parked between `start_tx` and
-    /// `on_delivery` so the `Delivery` event only carries a ticket.
-    in_flight: PacketArena,
+    /// Every packet inside the network, queued or on a link (see
+    /// [Packet lifecycle](Network#packet-lifecycle)).
+    packets: PacketArena,
 }
 
 impl Default for Network {
@@ -156,7 +181,7 @@ impl Default for Network {
             links: Vec::new(),
             routes: Vec::new(),
             wire_rng: SimRng::seed_from_u64(0),
-            in_flight: PacketArena::new(),
+            packets: PacketArena::new(),
         }
     }
 }
@@ -280,22 +305,31 @@ impl Network {
         self.links.len()
     }
 
-    /// Looks at an in-flight packet without consuming its ticket — for
-    /// probes that classify a delivery before [`Network::on_delivery`]
-    /// redeems it.
+    /// Looks at a packet inside the network without consuming its ticket —
+    /// for probes that classify a delivery before [`Network::on_delivery`]
+    /// handles it.
     ///
     /// # Panics
     ///
     /// Panics if the ticket is stale.
     #[inline]
     pub fn packet(&self, id: PacketId) -> &Packet {
-        self.in_flight.get(id)
+        self.packets.get(id)
     }
 
-    /// Number of packets currently in flight on links.
+    /// Number of packets on links: serialized or being serialized, and not
+    /// yet delivered or lost. Queued packets do not count.
     pub fn in_flight_count(&self) -> usize {
-        self.in_flight.live()
+        self.links
+            .iter()
+            .map(|l| {
+                let s = l.stats();
+                s.packets_tx
+                    .saturating_sub(s.arrived + s.lost_in_flight + s.corrupted)
+            })
+            .sum::<u64>() as usize
     }
+
 
     /// The outgoing link `node` uses to reach `dst`, if routed.
     #[inline]
@@ -331,11 +365,36 @@ impl Network {
         packet: Packet,
         sched: &mut Scheduler<E>,
     ) -> EnqueueOutcome {
-        let now = sched.now();
+        let id = self.packets.insert(packet);
+        self.offer(link, id, sched)
+    }
+
+    /// Offers the arena packet `id` to `link`'s queue, freeing it if the
+    /// queue refuses it, and makes sure the transmitter will serve it.
+    fn offer<E: From<NetEvent>>(
+        &mut self,
+        link: LinkId,
+        id: PacketId,
+        sched: &mut Scheduler<E>,
+    ) -> EnqueueOutcome {
         let l = &mut self.links[link.0 as usize];
-        let outcome = l.queue_mut().enqueue(packet, now);
-        if outcome == EnqueueOutcome::Accepted && !l.is_busy() {
-            self.start_tx(link, sched);
+        let outcome = l.queue_mut().enqueue(id, self.packets.get_mut(id), sched.now());
+        if outcome.is_drop() {
+            self.packets.take(id);
+            return outcome;
+        }
+        let epoch = l.epoch();
+        match &mut l.tx {
+            Some(tx) if tx.sched == sched.id() && tx.scheduled => {}
+            Some(tx) if tx.sched == sched.id() && sched.is_ahead(tx.until, tx.seq) => {
+                let event = NetEvent::TxComplete { link, epoch }.into();
+                sched.schedule_at_reserved(tx.until, tx.seq, event);
+                tx.scheduled = true;
+            }
+            // Idle, or the unscheduled completion's slot has passed: it
+            // would have found the queue empty and idled the transmitter.
+            // A slot issued by another scheduler passed with its run.
+            _ => self.start_tx(link, sched),
         }
         outcome
     }
@@ -348,24 +407,35 @@ impl Network {
             // restarts it.
             return;
         }
-        match l.queue_mut().dequeue(now) {
-            Some(pkt) => {
-                l.set_busy(true);
-                l.note_tx(&pkt);
-                let epoch = l.epoch();
-                let (done, arrive) = l.schedule_times(&pkt, now);
-                let packet = self.in_flight.insert(pkt);
-                sched.schedule_at(done, NetEvent::TxComplete { link, epoch }.into());
-                sched.schedule_at(arrive, NetEvent::Delivery { link, epoch, packet }.into());
-            }
-            None => l.set_busy(false),
+        let Some(id) = l.queue_mut().dequeue(now) else {
+            l.tx = None;
+            return;
+        };
+        let pkt = self.packets.get(id);
+        l.note_tx(pkt);
+        let epoch = l.epoch();
+        let (done, arrive) = l.schedule_times(pkt, now);
+        // Number the completion before the delivery, exactly as if it were
+        // scheduled now: the slot it owns is the one an eager schedule
+        // would take, whether or not the event is ever scheduled.
+        let seq = sched.reserve_seq();
+        sched.schedule_at(arrive, NetEvent::Delivery { link, epoch, packet: id }.into());
+        let scheduled = !l.queue().is_empty();
+        if scheduled {
+            sched.schedule_at_reserved(done, seq, NetEvent::TxComplete { link, epoch }.into());
         }
+        l.tx = Some(TxSlot {
+            until: done,
+            seq,
+            sched: sched.id(),
+            scheduled,
+        });
     }
 
     /// Handles a [`NetEvent::TxComplete`]: the link pulls the next queued
-    /// packet, if any. A stale `epoch` (the link went down after this
-    /// serialization started) is ignored — the outage already idled the
-    /// transmitter, and the up transition restarts it.
+    /// packet. A stale `epoch` (the link went down after this serialization
+    /// started) is ignored — the outage already idled the transmitter, and
+    /// the up transition restarts it.
     pub fn on_tx_complete<E: From<NetEvent>>(
         &mut self,
         link: LinkId,
@@ -376,7 +446,7 @@ impl Network {
         if epoch != l.epoch() {
             return;
         }
-        l.set_busy(false);
+        l.tx = None;
         self.start_tx(link, sched);
     }
 
@@ -387,13 +457,13 @@ impl Network {
     /// flight: it is reported [`Delivered::LostOnWire`] with
     /// [`WireLoss::LinkDown`]. A link with a nonzero corruption probability
     /// then rolls the wire die; a corrupted packet is reported with
-    /// [`WireLoss::Corrupted`].
+    /// [`WireLoss::Corrupted`]. A packet leaving the network here — at a
+    /// host or on the wire — frees its arena slot.
     ///
     /// # Panics
     ///
     /// Panics if a router has no route for the packet's destination, or if
-    /// the ticket is stale (every delivery — including losses — must redeem
-    /// its ticket exactly once, or the arena would leak).
+    /// the ticket is stale.
     pub fn on_delivery<E: From<NetEvent>>(
         &mut self,
         link: LinkId,
@@ -401,15 +471,12 @@ impl Network {
         packet: PacketId,
         sched: &mut Scheduler<E>,
     ) -> Delivered {
-        // Redeem unconditionally: even a stale-epoch or corrupted delivery
-        // frees its arena slot, so the slab never leaks across outages.
-        let packet = self.in_flight.take(packet);
         let l = &mut self.links[link.0 as usize];
         if epoch != l.epoch() {
             l.note_lost_in_flight();
             return Delivered::LostOnWire {
                 link,
-                packet,
+                packet: self.packets.take(packet),
                 cause: WireLoss::LinkDown,
             };
         }
@@ -418,7 +485,7 @@ impl Network {
             self.links[link.0 as usize].note_corrupted();
             return Delivered::LostOnWire {
                 link,
-                packet,
+                packet: self.packets.take(packet),
                 cause: WireLoss::Corrupted,
             };
         }
@@ -426,12 +493,16 @@ impl Network {
         l.note_arrived();
         let node = l.to();
         match self.nodes[node.0 as usize] {
-            NodeKind::Host => Delivered::ToHost { node, packet },
+            NodeKind::Host => Delivered::ToHost {
+                node,
+                packet: self.packets.take(packet),
+            },
             NodeKind::Router => {
-                let via = self.route(node, packet.dst).unwrap_or_else(|| {
-                    panic!("router {node:?} has no route to {:?}", packet.dst)
-                });
-                let outcome = self.send_on(via, packet, sched);
+                let dst = self.packets.get(packet).dst;
+                let via = self
+                    .route(node, dst)
+                    .unwrap_or_else(|| panic!("router {node:?} has no route to {dst:?}"));
+                let outcome = self.offer(via, packet, sched);
                 Delivered::Forwarded { node, via, outcome }
             }
         }
@@ -527,6 +598,48 @@ mod tests {
                 SimTime::from_millis(34)
             ]
         );
+    }
+
+    #[test]
+    fn tx_complete_fires_only_when_a_packet_waits() {
+        let mut net = Network::new();
+        let a = net.add_host();
+        let b = net.add_host();
+        let ab = net.add_link(a, b, 1_000_000, SimDuration::from_millis(1), dt(10));
+        net.set_route(a, b, ab);
+        let mut sched: Scheduler<NetEvent> = Scheduler::new();
+        for _ in 0..3 {
+            net.inject(pkt(a, b), &mut sched);
+        }
+        // One packet on the wire, two waiting in the queue.
+        assert_eq!(net.in_flight_count(), 1);
+        assert_eq!(net.packets.live(), 3);
+        let mut completions = 0;
+        let mut arrivals = Vec::new();
+        while let Some((t, ev)) = sched.pop() {
+            match ev {
+                NetEvent::TxComplete { link, epoch } => {
+                    completions += 1;
+                    net.on_tx_complete(link, epoch, &mut sched);
+                }
+                NetEvent::Delivery { link, epoch, packet } => {
+                    net.on_delivery(link, epoch, packet, &mut sched);
+                    arrivals.push(t);
+                }
+            }
+        }
+        // The last serialization has nothing behind it, so it never
+        // schedules a completion; the timing is unchanged.
+        assert_eq!(completions, 2);
+        assert_eq!(arrivals, [9, 17, 25].map(SimTime::from_millis).to_vec());
+        // A packet arriving long after the last slot passed starts at once
+        // (a stale-epoch placeholder event moves the clock to 100 ms).
+        let placeholder = NetEvent::TxComplete { link: ab, epoch: 99 };
+        sched.schedule_at(SimTime::from_millis(100), placeholder);
+        sched.pop();
+        net.inject(pkt(a, b), &mut sched);
+        assert_eq!(net.in_flight_count(), 1);
+        assert_eq!(sched.peek_time(), Some(SimTime::from_millis(109)));
     }
 
     #[test]
@@ -735,8 +848,9 @@ mod tests {
 
     #[test]
     fn arena_drains_even_through_outages_and_corruption() {
-        // Every delivery path — clean, stale-epoch, corrupted — must redeem
-        // its ticket, so a drained scheduler leaves zero packets in flight.
+        // Every way out of the network — clean delivery, stale epoch,
+        // corruption — must redeem its ticket, so a drained scheduler
+        // leaves zero packets in flight and none parked.
         let mut net = Network::new();
         let a = net.add_host();
         let b = net.add_host();
@@ -767,8 +881,9 @@ mod tests {
             }
         }
         assert_eq!(net.in_flight_count(), 0);
-        // One slot for normal stop-and-wait flight, plus one while the
-        // casualty's stale ticket overlaps the post-recovery transmission.
-        assert_eq!(net.in_flight.capacity(), 2);
+        assert_eq!(net.packets.live(), 0);
+        // The slab peaks at the six packets injected together (five wait
+        // in the queue) and never grows past them.
+        assert_eq!(net.packets.capacity(), 6);
     }
 }

@@ -219,13 +219,13 @@ impl Packet {
     }
 }
 
-/// Handle to a packet parked in a [`PacketArena`] while it propagates along
-/// a link.
+/// Handle to a packet parked in a [`PacketArena`] for as long as it is inside
+/// the network.
 ///
-/// A [`Packet`] is ~120 bytes (the SACK option dominates); carrying it by
-/// value inside every `Delivery` event would make the event queue's entries
-/// an order of magnitude larger than they need to be. The arena keeps the
-/// payload in one slab and the event carries this 8-byte ticket instead.
+/// A [`Packet`] is ~100 bytes (the SACK option dominates); copying it into
+/// every queue slot and `Delivery` event would make both an order of
+/// magnitude larger than they need to be. The arena keeps the payload in
+/// one slab, and queues and events carry this 8-byte ticket instead.
 ///
 /// The handle is generational: each slot remembers how many times it has
 /// been reused, and redeeming a stale ticket (the slot was freed and
@@ -243,8 +243,11 @@ struct ArenaSlot {
     pkt: Option<Packet>,
 }
 
-/// A generational slab holding packets while they are in flight on a link
-/// (from the start of serialization until delivery).
+/// A generational slab holding every packet inside a
+/// [`Network`](crate::Network): a packet enters once, when it is injected,
+/// and leaves once — delivered to its destination host, dropped by a queue,
+/// or lost on the wire. Queues and link events only pass its [`PacketId`]
+/// around.
 ///
 /// Slots are recycled LIFO, so steady-state traffic churns through a small,
 /// cache-hot prefix of the slab regardless of how many packets have ever
@@ -311,6 +314,17 @@ impl PacketArena {
         let slot = &self.slots[id.idx as usize];
         assert_eq!(slot.gen, id.gen, "stale packet ticket {id:?}");
         slot.pkt.as_ref().expect("packet ticket redeemed twice")
+    }
+
+    /// Looks at a parked packet mutably (e.g. to set an ECN mark).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is stale or was never issued.
+    pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
+        let slot = &mut self.slots[id.idx as usize];
+        assert_eq!(slot.gen, id.gen, "stale packet ticket {id:?}");
+        slot.pkt.as_mut().expect("packet ticket redeemed twice")
     }
 
     /// Redeems a ticket, freeing the slot and returning the packet.

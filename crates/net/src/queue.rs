@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use tcpburst_des::{SimRng, SimTime};
 
 use crate::adaptive::SelfConfiguringRed;
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketId};
 
 /// Why an arriving packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,11 @@ pub struct Occupancy {
 impl Occupancy {
     /// Accumulates `len` packets held since the last update.
     pub fn advance(&mut self, now: SimTime, len: usize) {
-        self.pkt_seconds += len as f64 * now.saturating_since(self.last_update).as_secs_f64();
+        // An empty queue adds exactly +0.0, so skipping the float work
+        // leaves the integral bit-identical.
+        if len != 0 {
+            self.pkt_seconds += len as f64 * now.saturating_since(self.last_update).as_secs_f64();
+        }
         self.last_update = now;
     }
 
@@ -96,13 +100,18 @@ impl Occupancy {
 /// A packet buffer feeding a link.
 ///
 /// Implementations decide *admission* (drop-tail vs RED); service order is
-/// FIFO for both, matching the paper's gateway.
+/// FIFO for both, matching the paper's gateway. A queue holds 8-byte
+/// [`PacketId`] handles into the network's
+/// [`PacketArena`](crate::PacketArena), never packets: the packet stays in
+/// the arena from injection to delivery, and the caller frees the slot of a
+/// packet the queue refuses.
 pub trait Queue: std::fmt::Debug {
-    /// Offers `pkt` to the queue at time `now`.
-    fn enqueue(&mut self, pkt: Packet, now: SimTime) -> EnqueueOutcome;
+    /// Offers packet `id`, whose contents are `pkt`, at time `now`. A
+    /// marking discipline sets ECN congestion-experienced through `pkt`.
+    fn enqueue(&mut self, id: PacketId, pkt: &mut Packet, now: SimTime) -> EnqueueOutcome;
 
     /// Removes the head-of-line packet for transmission.
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet>;
+    fn dequeue(&mut self, now: SimTime) -> Option<PacketId>;
 
     /// Instantaneous backlog in packets.
     fn len(&self) -> usize;
@@ -126,7 +135,7 @@ pub trait Queue: std::fmt::Debug {
 ///
 /// ```
 /// use tcpburst_des::SimTime;
-/// use tcpburst_net::{DropTailQueue, EnqueueOutcome, Queue};
+/// use tcpburst_net::{DropTailQueue, EnqueueOutcome, PacketArena, Queue};
 /// # use tcpburst_net::{FlowId, NodeId, Packet, PacketKind};
 /// # fn pkt() -> Packet {
 /// #     Packet { flow: FlowId(0), kind: PacketKind::Datagram, size_bytes: 1000,
@@ -134,15 +143,20 @@ pub trait Queue: std::fmt::Debug {
 /// #              ecn: tcpburst_net::Ecn::NotCapable }
 /// # }
 ///
+/// let mut arena = PacketArena::new();
 /// let mut q = DropTailQueue::new(2);
-/// assert_eq!(q.enqueue(pkt(), SimTime::ZERO), EnqueueOutcome::Accepted);
-/// assert_eq!(q.enqueue(pkt(), SimTime::ZERO), EnqueueOutcome::Accepted);
-/// assert_eq!(q.enqueue(pkt(), SimTime::ZERO), EnqueueOutcome::DroppedFull);
+/// let mut offer = |q: &mut DropTailQueue| {
+///     let id = arena.insert(pkt());
+///     q.enqueue(id, arena.get_mut(id), SimTime::ZERO)
+/// };
+/// assert_eq!(offer(&mut q), EnqueueOutcome::Accepted);
+/// assert_eq!(offer(&mut q), EnqueueOutcome::Accepted);
+/// assert_eq!(offer(&mut q), EnqueueOutcome::DroppedFull);
 /// assert_eq!(q.len(), 2);
 /// ```
 #[derive(Debug)]
 pub struct DropTailQueue {
-    buf: VecDeque<Packet>,
+    buf: VecDeque<PacketId>,
     capacity: usize,
     stats: QueueStats,
     occupancy: Occupancy,
@@ -171,23 +185,23 @@ impl DropTailQueue {
 }
 
 impl Queue for DropTailQueue {
-    fn enqueue(&mut self, pkt: Packet, now: SimTime) -> EnqueueOutcome {
+    fn enqueue(&mut self, id: PacketId, _pkt: &mut Packet, now: SimTime) -> EnqueueOutcome {
         self.stats.arrivals += 1;
         if self.buf.len() >= self.capacity {
             self.stats.drops_full += 1;
             return EnqueueOutcome::DroppedFull;
         }
         self.occupancy.advance(now, self.buf.len());
-        self.buf.push_back(pkt);
+        self.buf.push_back(id);
         self.stats.peak_len = self.stats.peak_len.max(self.buf.len());
         EnqueueOutcome::Accepted
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+    fn dequeue(&mut self, now: SimTime) -> Option<PacketId> {
         self.occupancy.advance(now, self.buf.len());
-        let pkt = self.buf.pop_front()?;
+        let id = self.buf.pop_front()?;
         self.stats.departures += 1;
-        Some(pkt)
+        Some(id)
     }
 
     fn len(&self) -> usize {
@@ -273,7 +287,7 @@ impl RedParams {
 /// every arrival is dropped — the behaviour the ICDCS paper describes.
 #[derive(Debug)]
 pub struct RedQueue {
-    buf: VecDeque<Packet>,
+    buf: VecDeque<PacketId>,
     params: RedParams,
     avg: f64,
     /// Packets admitted since the last early drop (−1 ⇔ below `min_th`).
@@ -343,7 +357,7 @@ impl RedQueue {
 }
 
 impl Queue for RedQueue {
-    fn enqueue(&mut self, pkt: Packet, now: SimTime) -> EnqueueOutcome {
+    fn enqueue(&mut self, id: PacketId, pkt: &mut Packet, now: SimTime) -> EnqueueOutcome {
         self.stats.arrivals += 1;
         self.update_average(now);
 
@@ -353,7 +367,6 @@ impl Queue for RedQueue {
             self.stats.drops_forced += 1;
             return EnqueueOutcome::DroppedForced;
         }
-        let mut pkt = pkt;
         if self.avg >= p.min_th {
             self.count += 1;
             let p_b = p.max_p * (self.avg - p.min_th) / (p.max_th - p.min_th);
@@ -379,20 +392,20 @@ impl Queue for RedQueue {
             return EnqueueOutcome::DroppedFull;
         }
         self.occupancy.advance(now, self.buf.len());
-        self.buf.push_back(pkt);
+        self.buf.push_back(id);
         self.idle_since = None;
         self.stats.peak_len = self.stats.peak_len.max(self.buf.len());
         EnqueueOutcome::Accepted
     }
 
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+    fn dequeue(&mut self, now: SimTime) -> Option<PacketId> {
         self.occupancy.advance(now, self.buf.len());
-        let pkt = self.buf.pop_front()?;
+        let id = self.buf.pop_front()?;
         self.stats.departures += 1;
         if self.buf.is_empty() {
             self.idle_since = Some(now);
         }
-        Some(pkt)
+        Some(id)
     }
 
     fn len(&self) -> usize {
@@ -430,19 +443,19 @@ pub enum AnyQueue {
 }
 
 impl AnyQueue {
-    /// Offers `pkt` to the queue at time `now`.
+    /// Offers packet `id` (contents `pkt`) to the queue at time `now`.
     #[inline]
-    pub fn enqueue(&mut self, pkt: Packet, now: SimTime) -> EnqueueOutcome {
+    pub fn enqueue(&mut self, id: PacketId, pkt: &mut Packet, now: SimTime) -> EnqueueOutcome {
         match self {
-            AnyQueue::DropTail(q) => Queue::enqueue(q, pkt, now),
-            AnyQueue::Red(q) => Queue::enqueue(q, pkt, now),
-            AnyQueue::AdaptiveRed(q) => Queue::enqueue(q, pkt, now),
+            AnyQueue::DropTail(q) => Queue::enqueue(q, id, pkt, now),
+            AnyQueue::Red(q) => Queue::enqueue(q, id, pkt, now),
+            AnyQueue::AdaptiveRed(q) => Queue::enqueue(q, id, pkt, now),
         }
     }
 
     /// Removes the head-of-line packet for transmission.
     #[inline]
-    pub fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+    pub fn dequeue(&mut self, now: SimTime) -> Option<PacketId> {
         match self {
             AnyQueue::DropTail(q) => Queue::dequeue(q, now),
             AnyQueue::Red(q) => Queue::dequeue(q, now),
@@ -487,12 +500,12 @@ impl AnyQueue {
 
 impl Queue for AnyQueue {
     #[inline]
-    fn enqueue(&mut self, pkt: Packet, now: SimTime) -> EnqueueOutcome {
-        AnyQueue::enqueue(self, pkt, now)
+    fn enqueue(&mut self, id: PacketId, pkt: &mut Packet, now: SimTime) -> EnqueueOutcome {
+        AnyQueue::enqueue(self, id, pkt, now)
     }
 
     #[inline]
-    fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+    fn dequeue(&mut self, now: SimTime) -> Option<PacketId> {
         AnyQueue::dequeue(self, now)
     }
 
@@ -532,6 +545,7 @@ impl From<SelfConfiguringRed> for AnyQueue {
 mod tests {
     use super::*;
     use crate::packet::{Ecn, FlowId, NodeId, PacketKind};
+    use crate::queue::testbed::Bed;
     use tcpburst_des::SimDuration;
 
     fn pkt() -> Packet {
@@ -546,8 +560,8 @@ mod tests {
         }
     }
 
-    fn red(min: f64, max: f64) -> RedQueue {
-        RedQueue::new(
+    fn red(min: f64, max: f64) -> Bed<RedQueue> {
+        Bed::new(RedQueue::new(
             RedParams {
                 min_th: min,
                 max_th: max,
@@ -558,12 +572,12 @@ mod tests {
                 ecn_marking: false,
             },
             7,
-        )
+        ))
     }
 
     #[test]
     fn droptail_is_fifo() {
-        let mut q = DropTailQueue::new(10);
+        let mut q = Bed::new(DropTailQueue::new(10));
         for i in 0..3u32 {
             let mut p = pkt();
             p.size_bytes = i + 1;
@@ -578,7 +592,7 @@ mod tests {
 
     #[test]
     fn droptail_drops_when_full_and_counts() {
-        let mut q = DropTailQueue::new(2);
+        let mut q = Bed::new(DropTailQueue::new(2));
         assert!(!q.enqueue(pkt(), SimTime::ZERO).is_drop());
         assert!(!q.enqueue(pkt(), SimTime::ZERO).is_drop());
         assert!(q.enqueue(pkt(), SimTime::ZERO).is_drop());
@@ -591,7 +605,7 @@ mod tests {
 
     #[test]
     fn droptail_recovers_capacity_after_dequeue() {
-        let mut q = DropTailQueue::new(1);
+        let mut q = Bed::new(DropTailQueue::new(1));
         q.enqueue(pkt(), SimTime::ZERO);
         assert!(q.enqueue(pkt(), SimTime::ZERO).is_drop());
         q.dequeue(SimTime::ZERO);
@@ -665,7 +679,7 @@ mod tests {
 
     #[test]
     fn red_respects_physical_capacity() {
-        let mut q = RedQueue::new(
+        let mut q = Bed::new(RedQueue::new(
             RedParams {
                 min_th: 90.0,
                 max_th: 95.0,
@@ -676,7 +690,7 @@ mod tests {
                 ecn_marking: false,
             },
             1,
-        );
+        ));
         for _ in 0..3 {
             assert_eq!(q.enqueue(pkt(), SimTime::ZERO), EnqueueOutcome::Accepted);
         }
@@ -731,7 +745,7 @@ mod tests {
 
     #[test]
     fn red_marks_ecn_capable_packets_instead_of_dropping() {
-        let mut q = RedQueue::new(
+        let mut q = Bed::new(RedQueue::new(
             RedParams {
                 min_th: 2.0,
                 max_th: 50.0,
@@ -742,7 +756,7 @@ mod tests {
                 ecn_marking: true,
             },
             7,
-        );
+        ));
         for i in 0..2000u64 {
             let now = SimTime::from_millis(i);
             if q.len() > 10 {
@@ -764,7 +778,7 @@ mod tests {
 
     #[test]
     fn red_marking_does_not_touch_non_capable_packets() {
-        let mut q = RedQueue::new(
+        let mut q = Bed::new(RedQueue::new(
             RedParams {
                 min_th: 2.0,
                 max_th: 50.0,
@@ -775,7 +789,7 @@ mod tests {
                 ecn_marking: true,
             },
             7,
-        );
+        ));
         let mut early = 0;
         for i in 0..2000u64 {
             let now = SimTime::from_millis(i);
@@ -792,7 +806,7 @@ mod tests {
 
     #[test]
     fn occupancy_tracks_time_weighted_average() {
-        let mut q = DropTailQueue::new(10);
+        let mut q = Bed::new(DropTailQueue::new(10));
         // 2 packets held from t=0 to t=10s, then 1 packet to t=20s.
         q.enqueue(pkt(), SimTime::ZERO);
         q.enqueue(pkt(), SimTime::ZERO);
@@ -803,7 +817,7 @@ mod tests {
 
     #[test]
     fn occupancy_of_empty_queue_is_zero() {
-        let q = DropTailQueue::new(10);
+        let q = Bed::new(DropTailQueue::new(10));
         assert_eq!(q.occupancy().average(SimTime::from_secs(5), 0), 0.0);
         assert_eq!(q.occupancy().average(SimTime::ZERO, 0), 0.0);
     }
@@ -819,5 +833,54 @@ mod tests {
     #[should_panic(expected = "max_p must be in")]
     fn red_set_max_p_rejects_zero() {
         red(2.0, 20.0).set_max_p(0.0);
+    }
+}
+
+/// Test support: a queue plus the arena its handles point into, offering
+/// and serving whole packets so unit tests read like the by-value API.
+#[cfg(test)]
+pub(crate) mod testbed {
+    use super::*;
+    use crate::packet::PacketArena;
+
+    #[derive(Debug)]
+    pub(crate) struct Bed<Q> {
+        pub(crate) q: Q,
+        arena: PacketArena,
+    }
+
+    impl<Q: Queue> Bed<Q> {
+        pub(crate) fn new(q: Q) -> Self {
+            Bed { q, arena: PacketArena::new() }
+        }
+
+        /// Offers `pkt`; a refused packet's slot is freed, as the network does.
+        pub(crate) fn enqueue(&mut self, pkt: Packet, now: SimTime) -> EnqueueOutcome {
+            let id = self.arena.insert(pkt);
+            let outcome = self.q.enqueue(id, self.arena.get_mut(id), now);
+            if outcome.is_drop() {
+                self.arena.take(id);
+            }
+            outcome
+        }
+
+        pub(crate) fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
+            let id = self.q.dequeue(now)?;
+            Some(self.arena.take(id))
+        }
+    }
+
+    impl<Q> std::ops::Deref for Bed<Q> {
+        type Target = Q;
+
+        fn deref(&self) -> &Q {
+            &self.q
+        }
+    }
+
+    impl<Q> std::ops::DerefMut for Bed<Q> {
+        fn deref_mut(&mut self) -> &mut Q {
+            &mut self.q
+        }
     }
 }

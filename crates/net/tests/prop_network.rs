@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use tcpburst_des::{Scheduler, SimDuration, SimTime};
 use tcpburst_net::{
-    Delivered, DropTailQueue, Dumbbell, DumbbellConfig, Ecn, FlowId, NetEvent, Packet,
-    PacketKind, Queue, QueueSpec, RedParams, RedQueue,
+    Delivered, DropTailQueue, Dumbbell, DumbbellConfig, Ecn, EnqueueOutcome, FlowId, NetEvent,
+    Packet, PacketArena, PacketKind, Queue, QueueSpec, RedParams, RedQueue,
 };
 
 fn pkt(src: tcpburst_net::NodeId, dst: tcpburst_net::NodeId, bytes: u32) -> Packet {
@@ -18,6 +18,22 @@ fn pkt(src: tcpburst_net::NodeId, dst: tcpburst_net::NodeId, bytes: u32) -> Pack
         created_at: SimTime::ZERO,
         ecn: Ecn::NotCapable,
     }
+}
+
+/// Offers `p` to `q` through `arena`, freeing the slot of a refused packet
+/// as the network does.
+fn offer(q: &mut impl Queue, arena: &mut PacketArena, p: Packet, now: SimTime) -> EnqueueOutcome {
+    let id = arena.insert(p);
+    let outcome = q.enqueue(id, arena.get_mut(id), now);
+    if outcome.is_drop() {
+        arena.take(id);
+    }
+    outcome
+}
+
+/// Serves the head of `q`, handing the packet out of `arena`.
+fn serve(q: &mut impl Queue, arena: &mut PacketArena, now: SimTime) -> Option<Packet> {
+    q.dequeue(now).map(|id| arena.take(id))
 }
 
 proptest! {
@@ -80,14 +96,15 @@ proptest! {
         ops in proptest::collection::vec(any::<bool>(), 1..500),
     ) {
         let mut q = DropTailQueue::new(capacity);
+        let mut arena = PacketArena::new();
         let a = tcpburst_net::NodeId(0);
         let b = tcpburst_net::NodeId(1);
         for (i, &enq) in ops.iter().enumerate() {
             let now = SimTime::from_millis(i as u64);
             if enq {
-                q.enqueue(pkt(a, b, 1000), now);
+                offer(&mut q, &mut arena, pkt(a, b, 1000), now);
             } else {
-                q.dequeue(now);
+                serve(&mut q, &mut arena, now);
             }
             prop_assert!(q.len() <= capacity);
         }
@@ -112,14 +129,15 @@ proptest! {
             mean_pkt_time_secs: 0.001,
             ecn_marking: false,
         }, seed);
+        let mut arena = PacketArena::new();
         let a = tcpburst_net::NodeId(0);
         let b = tcpburst_net::NodeId(1);
         for (i, &enq) in ops.iter().enumerate() {
             let now = SimTime::from_millis(i as u64);
             if enq {
-                q.enqueue(pkt(a, b, 1000), now);
+                offer(&mut q, &mut arena, pkt(a, b, 1000), now);
             } else {
-                q.dequeue(now);
+                serve(&mut q, &mut arena, now);
             }
             prop_assert!(q.len() <= 30);
             prop_assert!(q.average() >= 0.0);
@@ -135,6 +153,7 @@ proptest! {
         ops in proptest::collection::vec(any::<bool>(), 1..300),
     ) {
         let mut q = DropTailQueue::new(1000); // no drops: pure order check
+        let mut arena = PacketArena::new();
         let a = tcpburst_net::NodeId(0);
         let b = tcpburst_net::NodeId(1);
         let mut next_in = 0u32;
@@ -144,9 +163,9 @@ proptest! {
             if enq {
                 let mut p = pkt(a, b, 1000);
                 p.size_bytes = next_in + 1; // tag with insertion index
-                q.enqueue(p, now);
+                offer(&mut q, &mut arena, p, now);
                 next_in += 1;
-            } else if let Some(p) = q.dequeue(now) {
+            } else if let Some(p) = serve(&mut q, &mut arena, now) {
                 prop_assert_eq!(p.size_bytes, next_out + 1, "service out of order");
                 next_out += 1;
             }

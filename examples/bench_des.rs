@@ -25,8 +25,13 @@
 //!
 //! `--regress` instead *checks* the disabled-impairments fast path: it
 //! re-times the recorded scenario on the calendar backend and fails (exit
-//! 1) if events/s fell more than 10% below the `BENCH_des.json` baseline —
-//! the guard that the fault-injection hooks cost nothing when off.
+//! 1) if simulated seconds per wall-clock second fell more than 10% below
+//! the `BENCH_des.json` baseline — the guard that the fault-injection hooks
+//! cost nothing when off. The gate measures simulated time rather than
+//! events because the work one event stands for is not fixed: the engine
+//! skips events that would change nothing, so fewer events can mean a
+//! faster run, and events/s recorded before such a change cannot be
+//! compared with events/s after it.
 //!
 //! `--shards-smoke` runs a small workload through the sharded engine at
 //! shards 1 and 2 and fails (exit 1) unless the two reports are identical
@@ -163,7 +168,7 @@ fn best_sharded(reps: usize, clients: usize, secs: u64, shards: usize) -> Scenar
 }
 
 /// Steady-state allocation audit: run the first half of the scenario to
-/// warm every container (scheduler calendar, batch buffer, per-flow state,
+/// warm every container (scheduler calendar and batch, per-flow state,
 /// outboxes, time bins), then count global allocations while the
 /// batch-dispatch hot loop runs the second half.
 ///
@@ -218,13 +223,18 @@ fn shards_smoke() -> u8 {
     }
 }
 
-/// Pulls `"events_per_sec"` out of the `"calendar"` object of a previously
-/// written `BENCH_des.json` without a JSON dependency: the file is our own
-/// output, so a positional scan is reliable.
-fn baseline_calendar_events_per_sec(json: &str) -> Option<f64> {
+/// Simulated seconds advanced per wall-clock second of the run loop.
+fn sim_secs_per_wall_s(report: &ScenarioReport, secs: u64) -> f64 {
+    secs as f64 / report.wall_clock_secs
+}
+
+/// Pulls `"sim_secs_per_wall_s"` out of the `"calendar"` object of a
+/// previously written `BENCH_des.json` without a JSON dependency: the file
+/// is our own output, so a positional scan is reliable.
+fn baseline_calendar_sim_rate(json: &str) -> Option<f64> {
     let cal = json.find("\"calendar\"")?;
     let rest = &json[cal..];
-    let key = "\"events_per_sec\": ";
+    let key = "\"sim_secs_per_wall_s\": ";
     let at = rest.find(key)? + key.len();
     let tail = &rest[at..];
     let end = tail.find([',', '}', '\n'])?;
@@ -234,7 +244,7 @@ fn baseline_calendar_events_per_sec(json: &str) -> Option<f64> {
 /// Pulls the recorded calendar hold-model throughput at queue size 10 000
 /// out of `BENCH_des.json` — the host-speed calibration reference for
 /// `--regress`. Positional scan, same rationale as
-/// [`baseline_calendar_events_per_sec`].
+/// [`baseline_calendar_sim_rate`].
 fn baseline_hold_calibration(json: &str) -> Option<f64> {
     let at = json.find("\"queue_size\": 10000")?;
     let rest = &json[at..];
@@ -250,7 +260,7 @@ fn baseline_hold_calibration(json: &str) -> Option<f64> {
 ///
 /// Shared and throttled hosts drift in absolute speed by 10%+ between the
 /// minute the baseline was recorded and the minute the gate runs, which
-/// would flake any absolute events/s comparison. So the gate first
+/// would flake any absolute throughput comparison. So the gate first
 /// re-measures the hold model (a fixed, code-stable workload) and scales
 /// the recorded baseline by the observed host-speed ratio: sustained
 /// throttling moves both measurements together and cancels out, while a
@@ -263,8 +273,8 @@ fn regress(baseline_path: &str) -> u8 {
             return 1;
         }
     };
-    let Some(baseline) = baseline_calendar_events_per_sec(&json) else {
-        eprintln!("no calendar events_per_sec in {baseline_path}");
+    let Some(baseline) = baseline_calendar_sim_rate(&json) else {
+        eprintln!("no calendar sim_secs_per_wall_s in {baseline_path}");
         return 1;
     };
     let Some(hold_then) = baseline_hold_calibration(&json) else {
@@ -282,11 +292,11 @@ fn regress(baseline_path: &str) -> u8 {
          (host speed {host_speed:.2}x of record time)"
     );
     let run = best_scenario(reps, clients, secs, QueueBackend::Calendar);
-    let now = run.events_per_sec();
+    let now = sim_secs_per_wall_s(&run, secs);
     let ratio = now / adjusted;
     println!(
-        "  baseline {baseline:.0} events/s ({adjusted:.0} host-adjusted), \
-         now {now:.0} events/s ({:+.1}%)",
+        "  baseline {baseline:.1} simulated s per wall s ({adjusted:.1} host-adjusted), \
+         now {now:.1} ({:+.1}%)",
         (ratio - 1.0) * 100.0
     );
     // 10% on top of the calibration: the hold model and the scenario
@@ -332,18 +342,22 @@ fn main() {
     );
     let speedup = cal.events_per_sec() / heap.events_per_sec();
     println!(
-        "  calendar:    {:>9} events in {:.2} s ({:.0} events/s; {} stale fired, {} cancelled)",
+        "  calendar:    {:>9} events in {:.2} s ({:.0} events/s, {:.1} simulated s per s; \
+         {} stale fired, {} cancelled)",
         cal.events_processed,
         cal.wall_clock_secs,
         cal.events_per_sec(),
+        sim_secs_per_wall_s(&cal, secs),
         cal.timers.stale_fired,
         cal.timers.cancelled_in_place,
     );
     println!(
-        "  binary heap: {:>9} events in {:.2} s ({:.0} events/s; {} stale fired)",
+        "  binary heap: {:>9} events in {:.2} s ({:.0} events/s, {:.1} simulated s per s; \
+         {} stale fired)",
         heap.events_processed,
         heap.wall_clock_secs,
         heap.events_per_sec(),
+        sim_secs_per_wall_s(&heap, secs),
         heap.timers.stale_fired,
     );
     println!("  events/s speedup: {speedup:.2}x");
@@ -364,10 +378,12 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"calendar\": {{\"events\": {}, \"wall_clock_s\": {:.3}, \"events_per_sec\": {:.0}, \
-         \"stale_fired\": {}, \"cancelled_in_place\": {}, \"pending_peak\": {}}},",
+         \"sim_secs_per_wall_s\": {:.1}, \"stale_fired\": {}, \"cancelled_in_place\": {}, \
+         \"pending_peak\": {}}},",
         cal.events_processed,
         cal.wall_clock_secs,
         cal.events_per_sec(),
+        sim_secs_per_wall_s(&cal, secs),
         cal.timers.stale_fired,
         cal.timers.cancelled_in_place,
         cal.timers.pending_peak,
@@ -375,10 +391,12 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"binary_heap\": {{\"events\": {}, \"wall_clock_s\": {:.3}, \"events_per_sec\": {:.0}, \
-         \"stale_fired\": {}, \"cancelled_in_place\": {}, \"pending_peak\": {}}},",
+         \"sim_secs_per_wall_s\": {:.1}, \"stale_fired\": {}, \"cancelled_in_place\": {}, \
+         \"pending_peak\": {}}},",
         heap.events_processed,
         heap.wall_clock_secs,
         heap.events_per_sec(),
+        sim_secs_per_wall_s(&heap, secs),
         heap.timers.stale_fired,
         heap.timers.cancelled_in_place,
         heap.timers.pending_peak,

@@ -273,6 +273,8 @@ with open("BENCH_des_smoke.json") as f:
 for side in ("calendar", "binary_heap"):
     eps = data["scenario"][side]["events_per_sec"]
     assert eps > 0, f"{side}: events_per_sec is zero"
+    rate = data["scenario"][side]["sim_secs_per_wall_s"]
+    assert rate > 0, f"{side}: sim_secs_per_wall_s is zero"
 sharded = data["sharded"]
 assert len(sharded) >= 2, "sharded series must cover several shard counts"
 events = {s["events"] for s in sharded}
