@@ -52,7 +52,7 @@ ORCHESTRATION:
                            one is named; accepts any PROTOCOLS name)
     --seeds R              replications per grid point (from --seed up)
     --jobs N               worker threads; 0 = all cores
-    --workers N            sweep only: shard fresh grid points across N
+    --workers N            sweep only: spread fresh grid points across N
                            crash-isolated worker *processes* (0 = all cores;
                            default 1 = in-process threads); output is
                            byte-identical at every N
@@ -66,8 +66,8 @@ RESULT CACHE (sweep and replicate; `run` always simulates):
                            their full configuration, seed and engine schema;
                            a repeated sweep loads them instead of simulating
                            (bit-identical by construction). Trace-capturing
-                           and sharded-engine configurations bypass the
-                           cache; an engine schema bump invalidates it.
+                           configurations bypass the cache; an engine schema
+                           bump invalidates it.
 
 ROBUSTNESS (supervision and watchdog budgets):
     --keep-going           run every grid point; report failures at the end
@@ -84,7 +84,8 @@ ROBUSTNESS (supervision and watchdog budgets):
     --journal PATH         append each completed sweep point to a JSONL
                            journal (truncates PATH)
     --resume PATH          skip points already in the journal; the output is
-                           byte-identical to an uninterrupted sweep
+                           byte-identical to an uninterrupted sweep (a
+                           journal from another engine schema is refused)
 
 SWEEP SERVICE (distributed fan-out over TCP):
     serve                  long-running daemon: accepts sweep jobs and

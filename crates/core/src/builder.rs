@@ -179,7 +179,7 @@ impl ScenarioBuilder {
     /// `--clients` lists) are not scenario configuration and stay in the
     /// CLI proper.
     #[rustfmt::skip]
-    pub const CLI_FLAGS: [CliFlag; 19] = [
+    pub const CLI_FLAGS: [CliFlag; 18] = [
         CliFlag { name: "--clients", metavar: Some("N"), help: "number of clients M", stage: BuilderStage::Topology },
         CliFlag { name: "--topology", metavar: Some("SPEC"), help: "dumbbell, parking-lot:H,F, incast:N or waxman:N,a,b", stage: BuilderStage::Topology },
         CliFlag { name: "--spread", metavar: Some("F"), help: "heterogeneous-RTT spread factor (0 = paper)", stage: BuilderStage::Topology },
@@ -196,9 +196,8 @@ impl ScenarioBuilder {
         CliFlag { name: "--seed", metavar: Some("K"), help: "master RNG seed", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--queue", metavar: Some("BACKEND"), help: "event list: calendar or heap", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--trace-events", metavar: None, help: "record the structured event timeline", stage: BuilderStage::Instrumentation },
-        CliFlag { name: "--trace-hops", metavar: None, help: "record per-hop queue/utilization series (serial engine)", stage: BuilderStage::Instrumentation },
+        CliFlag { name: "--trace-hops", metavar: None, help: "record per-hop queue/utilization series", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--audit", metavar: None, help: "end-of-run invariant audit (conservation, cwnd floor)", stage: BuilderStage::Instrumentation },
-        CliFlag { name: "--shards", metavar: Some("K"), help: "parallel-engine worker threads (0 = serial engine)", stage: BuilderStage::Instrumentation },
     ];
 
     /// Looks up a flag in [`ScenarioBuilder::CLI_FLAGS`]; the CLI uses this
@@ -682,13 +681,6 @@ impl InstrumentationStage<'_> {
         self
     }
 
-    /// Worker threads for the conservative parallel engine; `0` keeps the
-    /// serial engine (see [`ScenarioConfig::shards`]).
-    pub fn shards(self, k: usize) -> Self {
-        self.cfg.shards = k;
-        self
-    }
-
     fn apply_flag(self, flag: &'static str, v: &str) -> Result<(), ConfigError> {
         match flag {
             "--secs" => {
@@ -730,10 +722,6 @@ impl InstrumentationStage<'_> {
             }
             "--audit" => {
                 self.audit(true);
-            }
-            "--shards" => {
-                let k = parse_num(flag, v)?;
-                self.shards(k);
             }
             _ => unreachable!("flag table routed {flag} to the instrumentation stage"),
         }

@@ -532,17 +532,6 @@ pub struct ScenarioConfig {
     /// counters. Off by default — the audited run loop tracks clock
     /// monotonicity, which the zero-overhead hot path skips.
     pub audit: bool,
-    /// Worker threads for the conservative parallel engine; `0` (the
-    /// default) runs the serial single-scheduler engine.
-    ///
-    /// Any value ≥ 1 selects the sharded engine, whose results are
-    /// **identical at every shard count** (the domain decomposition is
-    /// fixed by the configuration; threads only partition it) but differ
-    /// from the serial engine in same-instant tie-breaks — golden traces
-    /// pin `shards: 0`. Configurations the sharded engine cannot honor
-    /// (`audit`, `trace_events`, wire corruption, a zero base client
-    /// delay) fall back to the serial engine.
-    pub shards: usize,
 }
 
 impl ScenarioConfig {
@@ -582,7 +571,6 @@ impl ScenarioConfig {
             trace_events: false,
             trace_hops: false,
             audit: false,
-            shards: 0,
         }
     }
 
@@ -627,8 +615,8 @@ impl ScenarioConfig {
     }
 
     /// The buildable topology spec for this scenario:
-    /// [`ScenarioConfig::topology`] expanded with the link parameters of
-    /// [`ScenarioConfig::dumbbell_config`] as the shared base.
+    /// [`ScenarioConfig::topology`] expanded with the dumbbell's link
+    /// parameters as the shared base.
     pub fn topology_spec(&self) -> TopologySpec {
         let base = self.dumbbell_config();
         match self.topology {
@@ -665,8 +653,8 @@ impl ScenarioConfig {
         }
     }
 
-    /// The dumbbell topology this scenario builds.
-    pub fn dumbbell_config(&self) -> DumbbellConfig {
+    /// The dumbbell link parameters every topology spec starts from.
+    fn dumbbell_config(&self) -> DumbbellConfig {
         DumbbellConfig {
             num_clients: self.num_clients,
             client_bandwidth_bps: self.params.client_bandwidth_bps,

@@ -29,7 +29,7 @@
 //! * [`store`] — the content-addressed result store: a finished grid
 //!   point is persisted under a digest of its full configuration and is
 //!   never recomputed,
-//! * [`workers`] — multi-process sweep execution: grid points sharded
+//! * [`workers`] — multi-process sweep execution: grid points spread
 //!   across crash-isolated worker processes, byte-identical to the
 //!   in-process run.
 //!
@@ -74,7 +74,6 @@ mod profile;
 mod replicate;
 mod report;
 mod scenario;
-mod shard;
 pub mod store;
 pub mod supervise;
 mod trace;
@@ -111,8 +110,8 @@ pub use store::{
 };
 pub use supervise::{
     run_point, AuditReport, ExceededBudget, FailurePolicy, InvariantViolation, JournalEntry,
-    JournalFormat, PointFailure, PointOutcome, RunBudget, RunError, RunJournal, SupervisedSweep,
-    Supervisor, SweepPoint, SweepSupervisor,
+    PointFailure, PointOutcome, RunBudget, RunError, RunJournal, SupervisedSweep, Supervisor,
+    SweepPoint, SweepSupervisor,
 };
 pub use trace::{EventLog, TraceEvent, TraceKind};
 pub use workers::{worker_main, PointSpec, RobustnessCounters, WorkerCommand, WorkerPool};

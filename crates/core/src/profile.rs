@@ -52,21 +52,6 @@ pub struct DispatchProfile {
 }
 
 impl DispatchProfile {
-    /// Accumulates another profile into this one — the sharded engine sums
-    /// its per-domain profiles into the report's total.
-    pub fn merge(&mut self, other: &DispatchProfile) {
-        for (mine, theirs) in [
-            (&mut self.generate, &other.generate),
-            (&mut self.net_tx, &other.net_tx),
-            (&mut self.net_delivery, &other.net_delivery),
-            (&mut self.transport, &other.transport),
-            (&mut self.impair, &other.impair),
-        ] {
-            mine.count += theirs.count;
-            mine.nanos += theirs.nanos;
-        }
-    }
-
     /// Total events dispatched across all classes.
     pub fn total(&self) -> u64 {
         self.generate.count

@@ -48,15 +48,15 @@ enum Servers {
 
 /// A periodic two-state toggle between a nominal and a perturbed value.
 #[derive(Debug)]
-pub(crate) struct Toggle<T> {
-    pub(crate) cycle: PhaseCycle,
-    pub(crate) nominal: T,
-    pub(crate) perturbed: T,
+struct Toggle<T> {
+    cycle: PhaseCycle,
+    nominal: T,
+    perturbed: T,
 }
 
 impl<T: Copy> Toggle<T> {
     /// Advances the cycle and returns the value now in effect.
-    pub(crate) fn advance(&mut self) -> T {
+    fn advance(&mut self) -> T {
         if self.cycle.advance() == 0 {
             self.nominal
         } else {
@@ -67,23 +67,21 @@ impl<T: Copy> Toggle<T> {
 
 /// Background cross-traffic generator state.
 #[derive(Debug)]
-pub(crate) struct CrossRuntime {
-    pub(crate) source: PoissonSource,
-    pub(crate) packet_bytes: u32,
+struct CrossRuntime {
+    source: PoissonSource,
+    packet_bytes: u32,
 }
 
 /// Live state of the impairment schedule. Boxed and absent on healthy runs
-/// so the unimpaired hot loop pays nothing for the machinery. Shared with
-/// the sharded engine (`crate::shard`), whose central domain owns the
-/// bottleneck link and therefore the whole schedule.
+/// so the unimpaired hot loop pays nothing for the machinery.
 #[derive(Debug)]
-pub(crate) struct ImpairRuntime {
+struct ImpairRuntime {
     /// Flap phases `[up, down]`; index 0 means the link is currently lit.
-    pub(crate) flap: Option<PhaseCycle>,
-    pub(crate) capacity: Option<Toggle<u64>>,
-    pub(crate) delay: Option<Toggle<SimDuration>>,
-    pub(crate) cross: Option<CrossRuntime>,
-    pub(crate) counters: ImpairmentReport,
+    flap: Option<PhaseCycle>,
+    capacity: Option<Toggle<u64>>,
+    delay: Option<Toggle<SimDuration>>,
+    cross: Option<CrossRuntime>,
+    counters: ImpairmentReport,
 }
 
 impl ImpairRuntime {
@@ -93,7 +91,7 @@ impl ImpairRuntime {
     /// # Panics
     ///
     /// Panics if the impairment schedule is inconsistent.
-    pub(crate) fn build(cfg: &ScenarioConfig) -> Option<Box<ImpairRuntime>> {
+    fn build(cfg: &ScenarioConfig) -> Option<Box<ImpairRuntime>> {
         (!cfg.impair.is_none()).then(|| {
             cfg.impair
                 .validate()
@@ -332,15 +330,7 @@ impl Scenario {
     }
 
     /// Builds and runs the scenario to its configured duration.
-    ///
-    /// With [`shards`](ScenarioConfig::shards) set and the configuration
-    /// supported by the conservative parallel engine, the run is delegated
-    /// to [`crate::shard`]; everything else uses the serial single-scheduler
-    /// engine below.
     pub fn run(cfg: &ScenarioConfig) -> ScenarioReport {
-        if cfg.shards > 0 && crate::shard::supported(cfg) {
-            return crate::shard::run_sharded(cfg);
-        }
         let mut s = Scenario::new(cfg);
         s.run_to_completion();
         s.into_report()

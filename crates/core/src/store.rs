@@ -49,8 +49,9 @@ use crate::supervise::{run_point, RunBudget, RunError};
 
 /// Version of the engine's observable behaviour. Bumping it invalidates
 /// every result-store entry and every resume journal at once — do so
-/// whenever a simulation change moves any reported number.
-pub const ENGINE_SCHEMA_VERSION: u32 = 4;
+/// whenever a simulation change moves any reported number, or a change to
+/// [`ScenarioConfig`]'s fields moves every digest.
+pub const ENGINE_SCHEMA_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------------
 // SHA-256 (in-tree: the workspace builds fully offline, no external crates)
@@ -397,11 +398,9 @@ impl ResultStore {
 /// True when results for `cfg` may be served from / written to the store.
 ///
 /// Trace-carrying configurations are excluded because their reports are
-/// not codec-encodable; sharded configurations are excluded because the
-/// supervised (serial-engine) path and `Scenario::run` (sharded-engine
-/// path) would disagree about the same digest's bytes.
+/// not codec-encodable.
 pub fn cacheable(cfg: &ScenarioConfig) -> bool {
-    !cfg.trace_cwnd && !cfg.trace_events && !cfg.trace_hops && cfg.shards == 0
+    !cfg.trace_cwnd && !cfg.trace_events && !cfg.trace_hops
 }
 
 /// [`run_point`] with a read-through cache: a valid store entry is
@@ -519,16 +518,13 @@ mod tests {
     }
 
     #[test]
-    fn cacheable_excludes_traces_and_shards() {
+    fn cacheable_excludes_traces() {
         let mut cfg = ScenarioBuilder::paper().finish();
         assert!(cacheable(&cfg));
         cfg.trace_cwnd = true;
         assert!(!cacheable(&cfg));
         cfg.trace_cwnd = false;
         cfg.trace_events = true;
-        assert!(!cacheable(&cfg));
-        cfg.trace_events = false;
-        cfg.shards = 2;
         assert!(!cacheable(&cfg));
     }
 }

@@ -28,8 +28,10 @@
 //! point's full configuration (see [`crate::store`]), so
 //! `tcpburst sweep --resume <journal>` skips finished points and
 //! reproduces the fresh run's figure tables byte-for-byte at any `--jobs`.
-//! Journals written by the pre-digest format (version 1, FNV-1a keys) are
-//! still resumable. A journal whose every point completed is *finalized*:
+//! A journal's header carries the engine schema it was written under, and
+//! a journal from another schema — or from the pre-digest format 1, which
+//! carries none — is rejected, never resumed. A journal whose every point
+//! completed is *finalized*:
 //! atomically rewritten in canonical grid order, so an interrupted-then-
 //! resumed sweep leaves the byte-identical journal an uninterrupted run
 //! would have.
@@ -461,47 +463,8 @@ impl Supervisor {
 // Config hashing and the run journal
 // ---------------------------------------------------------------------------
 
-/// 64-bit FNV-1a over `bytes` — tiny, dependency-free, stable across runs
-/// (unlike `DefaultHasher`, which is randomly keyed per process).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Legacy (journal format 1) sweep hash: FNV-1a over the full base
-/// configuration (`Debug` form is stable and covers every knob) plus both
-/// grid axes. New journals are keyed by [`store::sweep_digest`] instead;
-/// this survives only to validate and resume pre-digest journal files.
-pub fn sweep_key(base: &ScenarioConfig, protocols: &[Protocol], clients: &[usize]) -> u64 {
-    let text = format!("{base:?}|{protocols:?}|{clients:?}");
-    fnv1a64(text.as_bytes())
-}
-
-/// Legacy (journal format 1) per-point key.
-fn point_key(sweep: u64, protocol: Protocol, clients: usize, seed: u64) -> u64 {
-    let text = format!("{sweep:016x}|{}|{clients}|{seed}", protocol.cli_name());
-    fnv1a64(text.as_bytes())
-}
-
 const JOURNAL_MAGIC: &str = "tcpburst-sweep";
 const JOURNAL_VERSION: u32 = 2;
-
-/// The on-disk format of a resumed journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalFormat {
-    /// The pre-store format: 16-hex FNV-1a keys, no engine schema stamp.
-    /// Still resumable, but never finalized (its keys cannot be
-    /// regenerated under the digest scheme without rewriting history).
-    V1,
-    /// The content-addressed format: 64-hex store-digest keys, an
-    /// `engine schema` stamp in the header and every line, and canonical-
-    /// order finalization on completion.
-    V2,
-}
 
 /// Splits a flat one-line JSON object into `(key, raw value)` pairs. Only
 /// handles the journal's own output (no nesting, no commas inside values),
@@ -529,8 +492,7 @@ fn unquote(v: &str) -> Option<&str> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalEntry {
     /// The point's key: the hex of its configuration's
-    /// [`store::point_digest`] (64 hex digits), or a legacy 16-hex FNV
-    /// key when the entry came from a format-1 journal.
+    /// [`store::point_digest`] (64 hex digits).
     pub key: String,
     /// Protocol of the point.
     pub protocol: Protocol,
@@ -581,9 +543,8 @@ impl JournalEntry {
         }
     }
 
-    /// One JSONL line (no trailing newline). Every line written by this
-    /// engine carries its `schema_version` stamp, whatever the journal's
-    /// header format.
+    /// One JSONL line (no trailing newline), stamped with the engine's
+    /// `schema_version`.
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"key\":\"{}\",\"schema_version\":{ENGINE_SCHEMA_VERSION},\
@@ -610,7 +571,7 @@ impl JournalEntry {
         let fields = json_fields(line)?;
         let get = |name: &str| fields.iter().find(|(k, _)| *k == name).map(|(_, v)| *v);
         // `schema_version` is validated at the journal level (header), not
-        // per line; lines from the pre-stamp format simply lack it.
+        // per line.
         Some(JournalEntry {
             key: unquote(get("key")?)?.to_string(),
             protocol: unquote(get("protocol")?)?.parse().ok()?,
@@ -698,7 +659,7 @@ impl RunJournal {
     }
 
     /// Creates (truncating) a journal for the given sweep digest and writes
-    /// the format-2 header line.
+    /// the header line.
     pub fn create(path: &Path, sweep: &Digest) -> Result<RunJournal, RunError> {
         let header = RunJournal::header_line(sweep);
         let mut file = File::create(path).map_err(|e| io_error(path, e))?;
@@ -711,17 +672,15 @@ impl RunJournal {
         })
     }
 
-    /// Opens an existing journal for resumption: validates the header
-    /// against the sweep identity (`sweep` for format-2 journals,
-    /// `legacy_key` for format-1), parses every well-formed entry (a
-    /// truncated last line — the kill case — is skipped), and reopens the
-    /// file in append mode for the remaining points. The returned
-    /// [`JournalFormat`] tells the caller which key scheme the entries use.
+    /// Opens an existing journal for resumption: validates the header's
+    /// format, engine schema and sweep digest, parses every well-formed
+    /// entry (a truncated last line — the kill case — is skipped), and
+    /// reopens the file in append mode for the remaining points. A rejected
+    /// journal is left untouched.
     pub fn resume(
         path: &Path,
         sweep: &Digest,
-        legacy_key: u64,
-    ) -> Result<(RunJournal, Vec<JournalEntry>, JournalFormat), RunError> {
+    ) -> Result<(RunJournal, Vec<JournalEntry>), RunError> {
         let bad = |message: String| RunError::Io {
             path: path.to_path_buf(),
             message,
@@ -739,35 +698,14 @@ impl RunJournal {
         }
         let version = get("version").and_then(|v| v.parse::<u32>().ok());
         let recorded = get("sweep").and_then(unquote).unwrap_or_default();
-        let format = match version {
+        match version {
+            Some(JOURNAL_VERSION) => {}
+            // Format 1 predates the engine-schema stamp, so nothing in it
+            // says which engine produced its results.
             Some(1) => {
-                let expected = format!("{legacy_key:016x}");
-                if recorded != expected {
-                    return Err(bad(format!(
-                        "journal was written for a different sweep configuration \
-                         (recorded {recorded}, expected {expected})"
-                    )));
-                }
-                JournalFormat::V1
-            }
-            Some(2) => {
-                let schema = get("schema_version").and_then(|v| v.parse::<u32>().ok());
-                if schema != Some(ENGINE_SCHEMA_VERSION) {
-                    return Err(bad(format!(
-                        "journal was written by engine schema {} but this build \
-                         is schema {ENGINE_SCHEMA_VERSION}; its results are not \
-                         comparable — start a fresh journal",
-                        schema.map_or_else(|| "?".to_string(), |s| s.to_string()),
-                    )));
-                }
-                if recorded != sweep.hex() {
-                    return Err(bad(format!(
-                        "journal was written for a different sweep configuration \
-                         (recorded {recorded}, expected {})",
-                        sweep.hex()
-                    )));
-                }
-                JournalFormat::V2
+                return Err(bad(
+                    "journal format 1 is no longer supported; start a fresh journal".to_string(),
+                ))
             }
             _ => {
                 return Err(bad(format!(
@@ -775,7 +713,23 @@ impl RunJournal {
                     version.map_or_else(|| "?".to_string(), |v| v.to_string())
                 )))
             }
-        };
+        }
+        let schema = get("schema_version").and_then(|v| v.parse::<u32>().ok());
+        if schema != Some(ENGINE_SCHEMA_VERSION) {
+            return Err(bad(format!(
+                "journal was written by engine schema {} but this build \
+                 is schema {ENGINE_SCHEMA_VERSION}; its results are not \
+                 comparable — start a fresh journal",
+                schema.map_or_else(|| "?".to_string(), |s| s.to_string()),
+            )));
+        }
+        if recorded != sweep.hex() {
+            return Err(bad(format!(
+                "journal was written for a different sweep configuration \
+                 (recorded {recorded}, expected {})",
+                sweep.hex()
+            )));
+        }
         let mut entries = Vec::new();
         for line in lines {
             let line = line.map_err(|e| io_error(path, e))?;
@@ -799,7 +753,6 @@ impl RunJournal {
                 header,
             },
             entries,
-            format,
         ))
     }
 
@@ -925,15 +878,6 @@ impl SupervisedSweep {
     }
 }
 
-/// How to key journal entries: new journals use the store digest; resumed
-/// format-1 journals keep their FNV keys so the already-written lines
-/// still match.
-#[derive(Debug, Clone, Copy)]
-enum KeyMode {
-    Digest,
-    Legacy(u64),
-}
-
 /// Orchestrates a protocol × clients sweep under a [`Supervisor`], with
 /// optional journalling/resumption, an optional content-addressed result
 /// store, and optional worker-process execution.
@@ -996,7 +940,7 @@ impl SweepSupervisor {
         self
     }
 
-    /// Shards fresh grid points across worker *processes* instead of
+    /// Spreads fresh grid points across worker *processes* instead of
     /// in-process threads: `0` = one per core, `1` (the default) = stay
     /// in-process, `n > 1` = that many children. Has no effect until a
     /// [`worker_command`](Self::worker_command) is also set. Output is
@@ -1017,7 +961,7 @@ impl SweepSupervisor {
     /// Attaches a content-addressed result store: points whose digest is
     /// already stored load instead of simulating, and fresh completions
     /// are written back. Ignored for configurations
-    /// [`store::cacheable`] refuses (trace capture, sharded engine).
+    /// [`store::cacheable`] refuses (trace capture).
     pub fn store(mut self, store: Arc<ResultStore>) -> Self {
         self.store = Some(store);
         self
@@ -1033,13 +977,7 @@ impl SweepSupervisor {
         self
     }
 
-    /// The legacy (format-1) sweep key; new journals are identified by
-    /// [`digest`](Self::digest) instead.
-    pub fn key(&self) -> u64 {
-        sweep_key(&self.base, &self.protocols, &self.clients)
-    }
-
-    /// The sweep's content digest — the identity new journals are written
+    /// The sweep's content digest — the identity journals are written
     /// under.
     pub fn digest(&self) -> Digest {
         store::sweep_digest(&self.base, &self.protocols, &self.clients)
@@ -1047,14 +985,14 @@ impl SweepSupervisor {
 
     /// Runs the whole grid with no journal.
     pub fn run(&self) -> SupervisedSweep {
-        self.run_inner(None, &HashMap::new(), KeyMode::Digest)
+        self.run_inner(None, &HashMap::new())
     }
 
     /// Runs the grid, journalling every completed point to `path`
     /// (truncating any existing file).
     pub fn run_with_journal(&self, path: &Path) -> Result<SupervisedSweep, RunError> {
         let journal = RunJournal::create(path, &self.digest())?;
-        Ok(self.run_inner(Some(&journal), &HashMap::new(), KeyMode::Digest))
+        Ok(self.run_inner(Some(&journal), &HashMap::new()))
     }
 
     /// Resumes from an existing journal: completed points are restored from
@@ -1064,23 +1002,18 @@ impl SweepSupervisor {
     /// and once every point completes the journal file itself is finalized
     /// to the uninterrupted run's exact bytes.
     pub fn resume_from(&self, path: &Path) -> Result<SupervisedSweep, RunError> {
-        let (journal, entries, format) = RunJournal::resume(path, &self.digest(), self.key())?;
+        let (journal, entries) = RunJournal::resume(path, &self.digest())?;
         let done: HashMap<String, JournalEntry> = entries
             .into_iter()
             .map(|e| (e.key.clone(), e))
             .collect();
-        let mode = match format {
-            JournalFormat::V1 => KeyMode::Legacy(self.key()),
-            JournalFormat::V2 => KeyMode::Digest,
-        };
-        Ok(self.run_inner(Some(&journal), &done, mode))
+        Ok(self.run_inner(Some(&journal), &done))
     }
 
     fn run_inner(
         &self,
         journal: Option<&RunJournal>,
         done: &HashMap<String, JournalEntry>,
-        mode: KeyMode,
     ) -> SupervisedSweep {
         let grid = crate::experiments::canonical_grid(&self.protocols, &self.clients);
         let seed = self.base.seed;
@@ -1094,10 +1027,7 @@ impl SweepSupervisor {
             cfg.num_clients = n;
             cfg.apply_protocol(p);
             let digest = store::point_digest(&cfg);
-            keys.push(match mode {
-                KeyMode::Digest => digest.hex(),
-                KeyMode::Legacy(sweep) => format!("{:016x}", point_key(sweep, p, n, seed)),
-            });
+            keys.push(digest.hex());
             digests.push(digest);
             cfgs.push(cfg);
         }
@@ -1258,12 +1188,9 @@ impl SweepSupervisor {
         }
 
         // Every point landed: canonicalize the journal so its bytes match
-        // an uninterrupted run's. (Legacy journals keep their history —
-        // their old lines cannot be regenerated under digest keys.)
+        // an uninterrupted run's.
         let mut journal_error = None;
-        if let (Some(journal), true, KeyMode::Digest) =
-            (journal, failures.is_empty() && skipped.is_empty(), mode)
-        {
+        if let (Some(journal), true) = (journal, failures.is_empty() && skipped.is_empty()) {
             let entries: Vec<JournalEntry> = cells
                 .iter()
                 .enumerate()
@@ -1297,25 +1224,6 @@ impl SweepSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable_and_input_sensitive() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"abc"), fnv1a64(b"abc"));
-        assert_ne!(fnv1a64(b"abc"), fnv1a64(b"abd"));
-    }
-
-    #[test]
-    fn sweep_key_covers_config_and_axes() {
-        let base = ScenarioConfig::paper_default();
-        let k = sweep_key(&base, &[Protocol::Reno], &[5, 10]);
-        assert_eq!(k, sweep_key(&base, &[Protocol::Reno], &[5, 10]));
-        assert_ne!(k, sweep_key(&base, &[Protocol::Vegas], &[5, 10]));
-        assert_ne!(k, sweep_key(&base, &[Protocol::Reno], &[5, 10, 15]));
-        let mut other = base;
-        other.seed = base.seed ^ 1;
-        assert_ne!(k, sweep_key(&other, &[Protocol::Reno], &[5, 10]));
-    }
 
     #[test]
     fn journal_entry_round_trips_exactly() {

@@ -1,4 +1,4 @@
-//! Multi-process sweep execution: grid points sharded across worker
+//! Multi-process sweep execution: grid points spread across worker
 //! *processes* with work-stealing and per-worker crash isolation.
 //!
 //! Thread-level fan-out ([`crate::parallel`]) shares one address space: a

@@ -128,9 +128,10 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     let _ = fs::remove_file(&path);
 }
 
-/// A journal written by the schema-3 engine carries `events` counts from
-/// before the lazy transmit clock; resuming from it must fail loudly, not
-/// mix its lines into a schema-4 sweep.
+/// Journals written by older engines must fail loudly, not mix their
+/// lines into a current sweep: schema 3 carries `events` counts from
+/// before the lazy transmit clock, and schema 4 was keyed by digests of a
+/// configuration that still carried a `shards` field.
 #[test]
 fn resume_rejects_a_schema_3_journal() {
     let cfg = ScenarioBuilder::paper()
@@ -140,13 +141,71 @@ fn resume_rejects_a_schema_3_journal() {
     let clients = [3usize];
     let path = temp_journal();
     let sweep = SweepSupervisor::new(&cfg, &protocols, &clients).jobs(1);
-    sweep.run_with_journal(&path).expect("temp journal is writable");
+    sweep
+        .run_with_journal(&path)
+        .expect("temp journal is writable");
     let raw = fs::read_to_string(&path).expect("journal exists");
-    assert!(raw.contains("\"schema_version\":4"));
-    fs::write(&path, raw.replace("\"schema_version\":4", "\"schema_version\":3")).unwrap();
+    assert!(raw.contains("\"schema_version\":5"));
+    for stale in [3, 4] {
+        let old = raw.replace(
+            "\"schema_version\":5",
+            &format!("\"schema_version\":{stale}"),
+        );
+        fs::write(&path, &old).unwrap();
 
-    let err = sweep.resume_from(&path).expect_err("schema-3 journal is rejected");
+        let err = sweep
+            .resume_from(&path)
+            .expect_err("stale journal is rejected");
+        assert_eq!(err.kind(), "io");
+        assert!(
+            err.to_string().contains(&format!("engine schema {stale}")),
+            "{err}"
+        );
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            old,
+            "a rejected journal is untouched"
+        );
+    }
+    let _ = fs::remove_file(&path);
+}
+
+/// Journal format 1 carried FNV-1a keys and no engine-schema stamp, so
+/// nothing in it says which engine produced its results. It is refused
+/// as a format, before any sweep-identity check, and left byte-unchanged.
+#[test]
+fn resume_rejects_a_format_1_journal() {
+    let cfg = ScenarioBuilder::paper()
+        .instrumentation(|i| i.secs(2).seed(7))
+        .finish();
+    let path = temp_journal();
+    let journal = concat!(
+        "{\"journal\":\"tcpburst-sweep\",\"version\":1,\"sweep\":\"9f3c2a7b10e4d865\"}\n",
+        "{\"key\":\"5be0c1d2e3f40718\",\"protocol\":\"udp\",\"clients\":3,\"seed\":7,",
+        "\"cov\":0.25,\"poisson_cov\":0.25,\"generated\":100,\"delivered\":100,",
+        "\"loss_percent\":0,\"timeouts\":0,\"fast_retransmits\":0,\"events\":400}\n",
+    );
+    fs::write(&path, journal).unwrap();
+
+    let err = SweepSupervisor::new(&cfg, &[Protocol::Udp], &[3])
+        .jobs(1)
+        .resume_from(&path)
+        .expect_err("format-1 journal is rejected");
     assert_eq!(err.kind(), "io");
-    assert!(err.to_string().contains("engine schema 3"), "{err}");
+    let message = err.to_string();
+    assert!(
+        message.contains("journal format 1 is no longer supported"),
+        "{message}"
+    );
+    assert!(message.contains("start a fresh journal"), "{message}");
+    assert!(
+        !message.contains("different sweep configuration"),
+        "{message}"
+    );
+    assert_eq!(
+        fs::read_to_string(&path).unwrap(),
+        journal,
+        "a rejected journal is untouched"
+    );
     let _ = fs::remove_file(&path);
 }

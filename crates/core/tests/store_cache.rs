@@ -102,45 +102,66 @@ fn poisoned_entry_is_detected_and_recomputed() {
     let _ = fs::remove_dir_all(&root);
 }
 
-/// An entry written by the schema-3 engine (before the lazy transmit clock
-/// changed the `events` and `pending_peak` it stores) is never served:
-/// neither under the schema-3 key, which a schema-4 lookup never asks
-/// for, nor relabelled into the schema-4 key's file.
+/// Entries written by older engines are never served: schema 3 (before
+/// the lazy transmit clock changed the `events` and `pending_peak` it
+/// stores) and schema 4 (whose configurations still carried a `shards`
+/// field, so every digest differs). Neither is served under its own
+/// schema's key, which a current lookup never asks for, nor relabelled
+/// into the current key's file.
 #[test]
 fn schema_3_entries_are_stale_and_never_reused() {
-    assert_eq!(ENGINE_SCHEMA_VERSION, 4);
-    let root = temp_store();
-    let cfg = small_cfg(41);
-    let store = ResultStore::open(&root).expect("temp store is creatable");
-    let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("small scenario runs");
-    let fresh_bytes = canonical_bytes(&fresh);
-    let path = entry_path(&root, &cfg);
-    let raw = fs::read_to_string(&path).expect("entry exists");
-    let (header, payload) = raw.split_once('\n').expect("entry has a header line");
-    let fields: Vec<&str> = header.split(' ').collect();
-    assert_eq!(fields[1], "4", "entries are stamped with the schema");
+    assert_eq!(ENGINE_SCHEMA_VERSION, 5);
+    for (stale, seed) in [(3u32, 41u64), (4, 43)] {
+        let root = temp_store();
+        let cfg = small_cfg(seed);
+        let store = ResultStore::open(&root).expect("temp store is creatable");
+        let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
+            .expect("small scenario runs");
+        let fresh_bytes = canonical_bytes(&fresh);
+        let path = entry_path(&root, &cfg);
+        let raw = fs::read_to_string(&path).expect("entry exists");
+        let (header, payload) = raw.split_once('\n').expect("entry has a header line");
+        let fields: Vec<&str> = header.split(' ').collect();
+        assert_eq!(fields[1], "5", "entries are stamped with the schema");
 
-    // The same payload as a well-formed schema-3 entry under the schema-3
-    // key, where that engine would have put it.
-    let v3 = Digest::of(format!("tcpburst-point-v3|{cfg:?}").as_bytes());
-    let v3_path = root.join(&v3.hex()[..2]).join(format!("{}.rpt", &v3.hex()[2..]));
-    fs::create_dir_all(v3_path.parent().unwrap()).unwrap();
-    fs::write(&v3_path, format!("{} 3 {} {} {}\n{payload}", fields[0], v3.hex(), fields[3], fields[4]))
-        .unwrap();
-    // And relabelled schema 3 in the schema-4 file (checksums still valid).
-    fs::write(&path, raw.replacen(" 4 ", " 3 ", 1)).unwrap();
+        // The same payload as a well-formed stale entry under the stale
+        // schema's key, where that engine would have put it.
+        let old = Digest::of(format!("tcpburst-point-v{stale}|{cfg:?}").as_bytes());
+        let old_path = root
+            .join(&old.hex()[..2])
+            .join(format!("{}.rpt", &old.hex()[2..]));
+        fs::create_dir_all(old_path.parent().unwrap()).unwrap();
+        let stale_entry = format!(
+            "{} {stale} {} {} {}\n{payload}",
+            fields[0],
+            old.hex(),
+            fields[3],
+            fields[4]
+        );
+        fs::write(&old_path, stale_entry).unwrap();
+        // And relabelled stale in the current file (checksums still valid).
+        fs::write(&path, raw.replacen(" 5 ", &format!(" {stale} "), 1)).unwrap();
 
-    let store = ResultStore::open(&root).expect("store reopens");
-    let recomputed = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("stale entry is recomputed");
-    let stats = store.stats();
-    assert_eq!(stats.hits, 0, "a schema-3 entry must never count as a hit");
-    assert_eq!(stats.corrupt, 1, "the relabelled entry is flagged stale");
-    assert_eq!(canonical_bytes(&recomputed), fresh_bytes);
-    assert!(v3_path.exists(), "the schema-3 key is never even looked up");
+        let store = ResultStore::open(&root).expect("store reopens");
+        let recomputed = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
+            .expect("stale entry is recomputed");
+        let stats = store.stats();
+        assert_eq!(
+            stats.hits, 0,
+            "a schema-{stale} entry must never count as a hit"
+        );
+        assert_eq!(
+            stats.corrupt, 1,
+            "the relabelled schema-{stale} entry is flagged stale"
+        );
+        assert_eq!(canonical_bytes(&recomputed), fresh_bytes);
+        assert!(
+            old_path.exists(),
+            "the schema-{stale} key is never even looked up"
+        );
 
-    let _ = fs::remove_dir_all(&root);
+        let _ = fs::remove_dir_all(&root);
+    }
 }
 
 #[test]

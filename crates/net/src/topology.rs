@@ -26,10 +26,8 @@ pub enum QueueSpec {
 
 impl QueueSpec {
     /// Instantiates the queue (RED queues derive their marking RNG from
-    /// `seed`). Public so engines that assemble their own [`Network`] —
-    /// the sharded engine's central domain — build the exact gateway
-    /// queue the dumbbell would.
-    pub fn build(self, seed: u64) -> AnyQueue {
+    /// `seed`).
+    pub(crate) fn build(self, seed: u64) -> AnyQueue {
         match self {
             QueueSpec::DropTail { capacity } => DropTailQueue::new(capacity).into(),
             QueueSpec::Red(params) => RedQueue::new(params, seed).into(),

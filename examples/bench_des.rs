@@ -1,22 +1,18 @@
 //! Dependency-free microbenchmark of the event engine: calendar queue vs
-//! the binary-heap reference, plus the sharded-engine series and a
-//! steady-state allocation audit.
+//! the binary-heap reference, plus a steady-state allocation audit.
 //!
-//! Four measurements:
+//! Three measurements:
 //!
 //! 1. **Scenario**: the paper's 64-client Reno run — the real workload,
 //!    with eager timer cancellation active on the calendar backend (the
 //!    heap backend cannot delete interior entries, so it carries every
 //!    superseded RTO/delayed-ACK firing through dispatch, exactly the
 //!    pre-calendar engine's behavior).
-//! 2. **Sharded**: the same workload through the conservative parallel
-//!    engine at shards 1, 2 and 4, asserting the reports agree across
-//!    shard counts (the engine's determinism contract).
-//! 3. **Alloc check**: warms the first half of a run, then counts global
+//! 2. **Alloc check**: warms the first half of a run, then counts global
 //!    allocations while the batch-dispatch hot loop runs the second half.
 //!    The steady-state loop must be allocation-free up to amortized
 //!    container growth (time bins, batch buffer doubling).
-//! 4. **Hold model**: the classic priority-queue benchmark — prefill to a
+//! 3. **Hold model**: the classic priority-queue benchmark — prefill to a
 //!    target size, then alternate pop/push with exponential increments —
 //!    swept across queue sizes to show the O(1) vs O(log n) separation.
 //!
@@ -33,15 +29,10 @@
 //! faster run, and events/s recorded before such a change cannot be
 //! compared with events/s after it.
 //!
-//! `--shards-smoke` runs a small workload through the sharded engine at
-//! shards 1 and 2 and fails (exit 1) unless the two reports are identical
-//! — the CI-fast version of the determinism suite.
-//!
 //! ```sh
-//! cargo run --release --example bench_des                    # full benchmark
-//! cargo run --release --example bench_des -- --smoke         # CI smoke test
-//! cargo run --release --example bench_des -- --regress       # compare to baseline
-//! cargo run --release --example bench_des -- --shards-smoke  # shard determinism
+//! cargo run --release --example bench_des               # full benchmark
+//! cargo run --release --example bench_des -- --smoke    # CI smoke test
+//! cargo run --release --example bench_des -- --regress  # compare to baseline
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,30 +134,6 @@ fn hold_model(n: usize, ops: usize, backend: QueueBackend) -> f64 {
     (ops * 2) as f64 / elapsed
 }
 
-/// One timed run through the sharded engine.
-fn timed_sharded(clients: usize, secs: u64, shards: usize) -> ScenarioReport {
-    let cfg = ScenarioBuilder::paper()
-        .topology(|t| t.clients(clients))
-        .transport(|t| t.protocol(Protocol::Reno))
-        .instrumentation(|i| i.secs(secs).shards(shards))
-        .finish();
-    Scenario::run(&cfg)
-}
-
-/// Best (minimum wall-clock) of `reps` sharded runs; same rationale as
-/// [`best_scenario`].
-fn best_sharded(reps: usize, clients: usize, secs: u64, shards: usize) -> ScenarioReport {
-    let mut best = timed_sharded(clients, secs, shards);
-    for _ in 1..reps {
-        let run = timed_sharded(clients, secs, shards);
-        assert_eq!(run.cov, best.cov, "sharded reps diverged on c.o.v.");
-        if run.wall_clock_secs < best.wall_clock_secs {
-            best = run;
-        }
-    }
-    best
-}
-
 /// Steady-state allocation audit: run the first half of the scenario to
 /// warm every container (scheduler calendar and batch, per-flow state,
 /// outboxes, time bins), then count global allocations while the
@@ -199,29 +166,6 @@ fn alloc_check(clients: usize, secs: u64) -> (u64, u64) {
 /// over a half-run of ~600k events is amortized noise; a per-event
 /// allocation would register in the hundreds of thousands.
 const STEADY_ALLOC_CEILING: u64 = 512;
-
-/// `--shards-smoke`: tiny sharded runs at shards 1 and 2 must produce
-/// identical reports. Returns the process exit code.
-fn shards_smoke() -> u8 {
-    let fingerprint = |mut r: ScenarioReport| {
-        r.wall_clock_secs = 0.0; // the one documented nondeterministic field
-        format!("{r:?}")
-    };
-    let one = timed_sharded(8, 2, 1);
-    let two = timed_sharded(8, 2, 2);
-    println!(
-        "shards-smoke: 8-client Reno, 2 simulated s; shards=1 {} events, shards=2 {} events",
-        one.events_processed, two.events_processed
-    );
-    assert!(one.delivered_packets > 0, "smoke run must do real work");
-    if fingerprint(one) == fingerprint(two) {
-        println!("  OK: reports identical across shard counts");
-        0
-    } else {
-        eprintln!("  FAIL: shards=2 report diverged from shards=1");
-        1
-    }
-}
 
 /// Simulated seconds advanced per wall-clock second of the run loop.
 fn sim_secs_per_wall_s(report: &ScenarioReport, secs: u64) -> f64 {
@@ -317,9 +261,6 @@ fn main() {
         let code = regress("BENCH_des.json");
         std::process::exit(code.into());
     }
-    if std::env::args().any(|a| a == "--shards-smoke") {
-        std::process::exit(shards_smoke().into());
-    }
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (clients, secs, reps, sizes, ops, path): (usize, u64, usize, &[usize], usize, &str) =
         if smoke {
@@ -402,37 +343,7 @@ fn main() {
         heap.timers.pending_peak,
     );
     let _ = writeln!(json, "    \"events_per_sec_speedup\": {speedup:.2}");
-    json.push_str("  },\n  \"sharded\": [\n");
-
-    println!("sharded engine: same workload, shards 1/2/4 (best of {reps})");
-    let shard_counts = [1usize, 2, 4];
-    let mut shard_cov = None;
-    for (i, &k) in shard_counts.iter().enumerate() {
-        let run = best_sharded(reps, clients, secs, k);
-        // The determinism contract: every shard count computes the same
-        // simulated world (the full byte-level check lives in the
-        // shard_determinism suite; c.o.v. equality catches drift here).
-        match shard_cov {
-            None => shard_cov = Some(run.cov),
-            Some(cov) => assert_eq!(run.cov, cov, "shards={k} diverged on c.o.v."),
-        }
-        println!(
-            "  shards {k}: {:>9} events in {:.2} s ({:.0} events/s)",
-            run.events_processed,
-            run.wall_clock_secs,
-            run.events_per_sec(),
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"shards\": {k}, \"events\": {}, \"wall_clock_s\": {:.3}, \
-             \"events_per_sec\": {:.0}}}{}",
-            run.events_processed,
-            run.wall_clock_secs,
-            run.events_per_sec(),
-            if i + 1 < shard_counts.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
+    json.push_str("  },\n");
 
     println!("alloc check: steady-state allocations in the second half of a warmed run");
     let (steady_allocs, alloc_events) = alloc_check(clients, secs);

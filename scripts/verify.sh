@@ -23,9 +23,6 @@ cargo test -q --offline -p tcpburst-core --test parallel_determinism -- --test-t
 echo "==> fault injection: impaired runs stay deterministic"
 cargo test -q --offline -p tcpburst-core --test impair_determinism
 
-echo "==> sharded engine: reports invariant in the shard count"
-cargo test -q --offline -p tcpburst-core --test shard_determinism
-
 echo "==> fault injection: CLI smoke (flap + corruption + cross-traffic)"
 ./target/release/tcpburst run --clients 10 --secs 5 \
     --impair flap:500ms/2s,corrupt:1e-4,cross:100 | grep -q "impairments:"
@@ -212,17 +209,15 @@ if [ -n "$LEAKS" ]; then
 fi
 echo "TcpVariant is matched only at the policy-construction site"
 
-echo "==> topology layer: no dumbbell field access outside the shim"
+echo "==> topology layer: no dumbbell field access in core"
 # The graph-first refactor routes everything through BuiltTopology; the
 # only code allowed to reach into dumbbell-specific handles (gateway,
-# server, clients, uplinks, downlinks) is topology.rs itself and the
-# sharded engine's two-domain compat shim (dumbbell-only by construction).
+# server, clients, uplinks, downlinks) is topology.rs itself.
 DBLEAK="$(grep -RnE '\.(uplinks|downlinks)\b|\bDumbbell::(try_)?build\b|\bdb\.(gateway|server|clients|bottleneck|reverse)\b' \
     crates/core/src --include='*.rs' \
-    | grep -v 'shard\.rs' \
     | grep -vE ':[0-9]+:\s*(//|/// )' || true)"
 if [ -n "$DBLEAK" ]; then
-    echo "dumbbell-specific field access outside topology.rs/shard.rs:" >&2
+    echo "dumbbell-specific field access in crates/core/src (outside topology.rs):" >&2
     echo "$DBLEAK" >&2
     exit 1
 fi
@@ -275,28 +270,18 @@ for side in ("calendar", "binary_heap"):
     assert eps > 0, f"{side}: events_per_sec is zero"
     rate = data["scenario"][side]["sim_secs_per_wall_s"]
     assert rate > 0, f"{side}: sim_secs_per_wall_s is zero"
-sharded = data["sharded"]
-assert len(sharded) >= 2, "sharded series must cover several shard counts"
-events = {s["events"] for s in sharded}
-assert len(events) == 1, f"sharded event counts diverged: {events}"
-for s in sharded:
-    assert s["events_per_sec"] > 0, f"shards={s['shards']}: events_per_sec is zero"
 alloc = data["alloc_check"]
 assert alloc["steady_allocs"] <= alloc["ceiling"], "steady-state alloc over ceiling"
 assert alloc["total_events"] > 0, "alloc check processed no events"
 assert data["hold_model"], "hold_model series is empty"
-print("BENCH_des_smoke.json: valid JSON; scenario, sharded, alloc_check, hold_model OK")
+print("BENCH_des_smoke.json: valid JSON; scenario, alloc_check, hold_model OK")
 EOF
     else
         grep -q '"events_per_sec": [1-9]' BENCH_des_smoke.json
-        grep -q '"shards": 2' BENCH_des_smoke.json
         grep -q '"steady_allocs": ' BENCH_des_smoke.json
-        echo "BENCH_des_smoke.json: nonzero events/s, sharded + alloc_check present" \
+        echo "BENCH_des_smoke.json: nonzero events/s, alloc_check present" \
              "(python3 unavailable, grep check)"
     fi
-
-    echo "==> sharded engine: shards=2 smoke must match shards=1 bit-for-bit"
-    cargo run --release --offline --example bench_des -- --shards-smoke
 
     echo "==> throughput: parallel sweep benchmark (writes BENCH_sweep.json)"
     cargo run --release --offline --example bench_sweep
