@@ -24,23 +24,61 @@
 //! * change any config field → different digest → miss;
 //! * change the simulation engine → bump [`ENGINE_SCHEMA_VERSION`] →
 //!   every old entry (and journal) misses;
-//! * corrupt an entry on disk → the header checksum fails → treated as a
+//! * corrupt a record on disk → the header checksum fails → treated as a
 //!   miss and recomputed, never trusted.
 //!
 //! ## On-disk layout
 //!
-//! `<root>/<first 2 hex>/<remaining 62 hex>.rpt`, one file per entry:
-//! a header line `tcpburst-store <schema> <digest> <payload-sha256>
-//! <payload-len>` followed by the codec payload. Writes go to a temp file
-//! in the same directory and are renamed into place, so concurrent writers
-//! (worker threads, worker processes, even concurrent sweeps) race only
-//! on who writes the identical bytes first.
+//! Two append-only files per schema hold the store, named after
+//! [`ENGINE_SCHEMA_VERSION`] so that a schema bump leaves every older
+//! record unread rather than scanned on every open:
+//!
+//! * `<root>/results-v<schema>.pack` holds the records back to back. A
+//!   record is a header line `tcpburst-store <schema> <digest>
+//!   <payload-sha256> <payload-len>` followed by the codec payload, which
+//!   always ends in a newline.
+//! * `<root>/results-v<schema>.idx` holds one fixed-width line per record:
+//!   `<digest> <offset> <length>`, the last two as 16 hex digits each.
+//!
+//! * **Writes** append the whole record to the pack with a single
+//!   `write_all` on an `O_APPEND` handle, then its index line the same
+//!   way. Concurrent writers (worker threads, or several processes
+//!   sweeping into one store) therefore do not interleave within a record
+//!   or a line on a local file system. A point written twice has two
+//!   records and two index lines: the later line wins.
+//! * **Reads** go through an in-memory `digest → (offset, length)` map,
+//!   filled lazily from the index file in bounded chunks. A lookup that
+//!   misses the map first reads the index lines appended since the last
+//!   read, so records another handle or process wrote are found, and then
+//!   reads older lines backwards from where it stopped until the digest
+//!   turns up. So a store opened to re-read a recent grid reads the index
+//!   lines written since that grid (99 bytes each), not the whole store;
+//!   only a lookup that finds nothing reads the whole index. A hit reads
+//!   that one record from the pack and checks all of it before trusting
+//!   it, so an index line that points at the wrong bytes can cost a
+//!   recompute but never serves a wrong result.
+//! * **Torn writes** (cut short by a crash) are harmless. A torn record
+//!   never got its index line, so it is never read; the next record is
+//!   appended behind it. A torn index line has no newline and is skipped;
+//!   a line appended after it still parses, because an entry is read from
+//!   the last 98 bytes of its line.
+//! * **Deleting the store** under a running sweep is noticed: before each
+//!   write and each index re-read, the handle checks that its open files
+//!   are still the ones at their paths, and reopens them (recreating the
+//!   root) and starts a fresh map when they are not.
+//!
+//! Stores written before the pack kept one `<2 hex>/<62 hex>.rpt` file
+//! per point. Those files are ignored, so the first sweep on such a store
+//! re-simulates; the two-hex directories can be deleted, as can the pack
+//! and index files of older schemas.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::fs;
-use std::io;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::codec;
 use crate::config::ScenarioConfig;
@@ -162,15 +200,24 @@ impl Digest {
 
     /// Parses the 64-char hex form back; `None` for anything else.
     pub fn from_hex(hex: &str) -> Option<Digest> {
-        if hex.len() != 64 || !hex.is_ascii() {
+        Self::from_hex_bytes(hex.as_bytes())
+    }
+
+    fn from_hex_bytes(hex: &[u8]) -> Option<Digest> {
+        if hex.len() != 64 {
             return None;
         }
         let mut out = [0u8; 32];
-        for (i, byte) in out.iter_mut().enumerate() {
-            *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).ok()?;
+        for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+            *byte = (hex_digit(pair[0])? << 4 | hex_digit(pair[1])?) as u8;
         }
         Some(Digest(out))
     }
+}
+
+/// The value of one hex digit, either case.
+fn hex_digit(c: u8) -> Option<u32> {
+    char::from(c).to_digit(16)
 }
 
 impl fmt::Display for Digest {
@@ -211,6 +258,13 @@ pub fn sweep_digest(
 
 const STORE_MAGIC: &str = "tcpburst-store";
 
+/// Read-ahead of the index scan: one read serves every line in it.
+const SCAN_CHUNK: usize = 64 * 1024;
+
+/// An index entry without its newline: a 64-hex digest, then the record's
+/// offset and length as 16 hex digits each, space separated.
+const ENTRY_LEN: usize = 64 + 1 + 16 + 1 + 16;
+
 /// Hit/miss accounting for one [`ResultStore`] handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -225,16 +279,125 @@ pub struct StoreStats {
     pub writes: u64,
 }
 
+/// A store's open files. The pack has two handles, one to read and one to
+/// append, so a positional read never moves the cursor an append's offset
+/// is read back from.
+struct Files {
+    pack: File,
+    append: File,
+    index: File,
+    /// What identified the pack and the index file when they were opened.
+    ids: [Option<(u64, u64)>; 2],
+}
+
+impl Files {
+    /// Opens the pack and the index file at `paths`, creating them when
+    /// `create`.
+    fn open(paths: &[PathBuf; 2], create: bool) -> io::Result<Files> {
+        let append = |path| {
+            OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(create)
+                .open(path)
+        };
+        let (append, index) = (append(&paths[0])?, append(&paths[1])?);
+        let pack = File::open(&paths[0])?;
+        let ids = [file_id(&pack.metadata()?), file_id(&index.metadata()?)];
+        Ok(Files {
+            pack,
+            append,
+            index,
+            ids,
+        })
+    }
+
+    /// True while `paths` still name the files that were opened.
+    fn still_at(&self, paths: &[PathBuf; 2]) -> bool {
+        paths
+            .iter()
+            .zip(self.ids)
+            .all(|(path, id)| fs::metadata(path).is_ok_and(|meta| file_id(&meta) == id))
+    }
+}
+
+/// Device and inode of a file. Other platforms have no stable equivalent,
+/// so there a store only checks that its files still exist.
+#[cfg(unix)]
+fn file_id(meta: &fs::Metadata) -> Option<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    Some((meta.dev(), meta.ino()))
+}
+
+#[cfg(not(unix))]
+fn file_id(_: &fs::Metadata) -> Option<(u64, u64)> {
+    None
+}
+
+/// Fills `buf` from `file` at `offset` without touching its cursor.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fills `buf` from `file` at `offset`.
+#[cfg(windows)]
+fn read_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, offset) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The in-memory map of the store: where the latest record of each digest
+/// starts and how long it is, for every index line read so far.
+#[derive(Default)]
+struct PackIndex {
+    /// The store's files, opened on first use.
+    files: Option<Arc<Files>>,
+    records: HashMap<Digest, (u64, u64)>,
+    /// The index lines in `low..high` are in the map. Lines before `low`
+    /// are older than any of them, lines from `high` on newer.
+    low: u64,
+    high: u64,
+    /// The bytes just before `high`: while the index file still holds them
+    /// there, it was not cut and refilled since.
+    tail: Vec<u8>,
+}
+
+impl PackIndex {
+    /// Forgets every line read and starts again at `end`, the index file's
+    /// length.
+    fn restart(&mut self, file: &File, end: u64) -> io::Result<()> {
+        self.records.clear();
+        let len = end.min(ENTRY_LEN as u64 + 1);
+        self.tail = vec![0; len as usize];
+        read_at(file, &mut self.tail, end - len)?;
+        (self.low, self.high) = (end, end);
+        Ok(())
+    }
+}
+
 /// A persistent, concurrency-safe, content-addressed cache of completed
 /// [`ScenarioReport`]s. See the module docs for keying, layout and
 /// invalidation.
 pub struct ResultStore {
     root: PathBuf,
+    /// Guards the map and the files, and orders appends within this handle.
+    index: Mutex<PackIndex>,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
     writes: AtomicU64,
-    tmp_counter: AtomicU64,
 }
 
 impl fmt::Debug for ResultStore {
@@ -247,17 +410,22 @@ impl fmt::Debug for ResultStore {
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) a store rooted at `root`.
+    /// Opens (creating if needed) a store rooted at `root`. Its files are
+    /// opened and indexed on first use.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<ResultStore> {
         let root = root.into();
-        fs::create_dir_all(&root)?;
+        // One `stat` for an existing store; `create_dir_all` alone would
+        // first try a `mkdir` that fails.
+        if !fs::metadata(&root).is_ok_and(|m| m.is_dir()) {
+            fs::create_dir_all(&root)?;
+        }
         Ok(ResultStore {
             root,
+            index: Mutex::new(PackIndex::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            tmp_counter: AtomicU64::new(0),
         })
     }
 
@@ -294,6 +462,18 @@ impl ResultStore {
         &self.root
     }
 
+    /// The pack file that holds this schema's records.
+    pub fn pack_path(&self) -> PathBuf {
+        self.root
+            .join(format!("results-v{ENGINE_SCHEMA_VERSION}.pack"))
+    }
+
+    /// The index file that locates each record in the pack.
+    pub fn index_path(&self) -> PathBuf {
+        self.root
+            .join(format!("results-v{ENGINE_SCHEMA_VERSION}.idx"))
+    }
+
     /// Hit/miss/corrupt/write counters accumulated by this handle.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -304,41 +484,81 @@ impl ResultStore {
         }
     }
 
-    fn entry_path(&self, digest: &Digest) -> PathBuf {
-        let hex = digest.hex();
-        self.root.join(&hex[..2]).join(format!("{}.rpt", &hex[2..]))
+    fn lock(&self) -> MutexGuard<'_, PackIndex> {
+        self.index
+            .lock()
+            .expect("no store operation panics while holding the index lock")
+    }
+
+    /// The store's open files. Called with the index lock held. They are
+    /// opened on first use, and opened afresh, with an empty map, when
+    /// their paths no longer name them (the store was deleted or replaced
+    /// under this handle). Without `create`, a store with no pack yet is
+    /// an error.
+    fn files(&self, index: &mut PackIndex, create: bool) -> io::Result<Arc<Files>> {
+        let paths = [self.pack_path(), self.index_path()];
+        if let Some(files) = &index.files {
+            if files.still_at(&paths) {
+                return Ok(Arc::clone(files));
+            }
+            index.files = None;
+        }
+        if create {
+            fs::create_dir_all(&self.root)?;
+        }
+        let files = Arc::new(Files::open(&paths, create)?);
+        index.restart(&files.index, files.index.metadata()?.len())?;
+        index.files = Some(Arc::clone(&files));
+        Ok(files)
     }
 
     /// Loads the report stored under `digest`, or `None` on a miss. A
-    /// present-but-invalid entry (bad magic, stale schema, checksum or
-    /// length mismatch, undecodable payload) is deleted and reported as a
-    /// miss: a poisoned cache entry is recomputed, never trusted.
+    /// present-but-invalid record (bad magic, stale schema, checksum or
+    /// length mismatch, truncation, undecodable payload) is dropped from
+    /// the map and reported as a miss: a poisoned cache entry is
+    /// recomputed, never trusted.
     pub fn get(&self, digest: &Digest) -> Option<ScenarioReport> {
-        let path = self.entry_path(digest);
-        let raw = match fs::read_to_string(&path) {
-            Ok(raw) => raw,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let Some((files, offset, len)) = self.locate(digest) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
-        match Self::validate(digest, &raw) {
-            Some(report) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(report)
-            }
-            None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                // Best effort: a corrupt entry left in place would re-fail
-                // every lookup; losing the remove only costs a re-check.
-                let _ = fs::remove_file(&path);
-                None
+        // `len` is bounded by the pack's size when the entry was read (see
+        // `scan`).
+        let mut raw = vec![0u8; len as usize];
+        let report = read_at(&files.pack, &mut raw, offset)
+            .ok()
+            .and_then(|()| String::from_utf8(raw).ok())
+            .and_then(|raw| Self::validate(digest, &raw));
+        if report.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.corrupt.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            // Unless a replacement was appended meanwhile, forget the bad
+            // record so it is not re-read; a `put` appends a good one.
+            let mut index = self.lock();
+            if index.records.get(digest) == Some(&(offset, len)) {
+                index.records.remove(digest);
             }
         }
+        report
     }
 
-    /// Full validation of one entry file: header fields, payload checksum,
+    /// Where the latest record of `digest` lies, reading more of the
+    /// index file first if the map does not know it.
+    fn locate(&self, digest: &Digest) -> Option<(Arc<Files>, u64, u64)> {
+        let mut index = self.lock();
+        if !index.records.contains_key(digest) {
+            let files = self.files(&mut index, false).ok()?;
+            // A scan error leaves what it read so far; the lookup then
+            // answers from that.
+            let _ = scan(&files, &mut index, digest);
+        }
+        let &(offset, len) = index.records.get(digest)?;
+        Some((Arc::clone(index.files.as_ref()?), offset, len))
+    }
+
+    /// Full validation of one record: header fields, payload checksum,
     /// then the codec.
     fn validate(digest: &Digest, raw: &str) -> Option<ScenarioReport> {
         let (header, payload) = raw.split_once('\n')?;
@@ -367,32 +587,121 @@ impl ResultStore {
     /// `Ok(false)` when the report is not encodable (trace payloads,
     /// partial runs — see [`codec::encodable`]) and was skipped.
     ///
-    /// Atomic against concurrent readers and writers: the entry is
-    /// assembled in a temp file in the same directory and renamed into
-    /// place.
+    /// The record, then its index line, is appended with one write each
+    /// on an `O_APPEND` handle, so neither interleaves with another
+    /// writer's.
     pub fn put(&self, digest: &Digest, report: &ScenarioReport) -> io::Result<bool> {
         let Some(payload) = codec::encode(report) else {
             return Ok(false);
         };
-        let entry = format!(
+        let record = format!(
             "{STORE_MAGIC} {ENGINE_SCHEMA_VERSION} {} {} {}\n{payload}",
             digest.hex(),
             Digest::of(payload.as_bytes()).hex(),
             payload.len()
         );
-        let path = self.entry_path(digest);
-        let dir = path.parent().expect("entry path always has a parent");
-        fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &entry)?;
-        fs::rename(&tmp, &path)?;
+        let len = record.len() as u64;
+        let mut index = self.lock();
+        let files = self.files(&mut index, true)?;
+        let mut append = &files.append;
+        append.write_all(record.as_bytes())?;
+        // `O_APPEND` leaves the cursor at the end of this write, wherever
+        // other processes' appends put it.
+        let offset = append.stream_position()? - len;
+        let line = format!("{} {offset:016x} {len:016x}\n", digest.hex());
+        let mut index_file = &files.index;
+        index_file.write_all(line.as_bytes())?;
+        let end = index_file.stream_position()?;
+        if index.high == end - line.len() as u64 {
+            index.high = end;
+            index.tail = line.into_bytes();
+        }
+        index.records.insert(*digest, (offset, len));
+        drop(index);
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
+}
+
+/// Brings the map up to date for a lookup of `digest`: reads the index
+/// lines appended since the last read, then, while `digest` is still
+/// unknown, older lines backwards from `low`. Reads a `SCAN_CHUNK` window
+/// at a time, so a lookup of a recent record reads only the lines written
+/// after it.
+fn scan(files: &Files, index: &mut PackIndex, digest: &Digest) -> io::Result<()> {
+    let end = files.index.metadata()?.len();
+    let mut buf = vec![0u8; index.tail.len()];
+    let tail_at = index.high - buf.len() as u64;
+    if end < index.high || read_at(&files.index, &mut buf, tail_at).is_err() || buf != index.tail {
+        // The index file was cut under this handle: start over at its end.
+        index.restart(&files.index, end)?;
+    }
+    // Each record is appended before its index line, so every line read
+    // below points into the pack's first `pack_end` bytes, unless the pack
+    // was cut since. Capping at `pack_end` bounds what a lookup reads.
+    let pack_end = files.pack.metadata()?.len();
+    let entry = |line: &[u8]| {
+        let (digest, offset, len) = parse_entry(line)?;
+        Some((digest, (offset, len.min(pack_end.saturating_sub(offset)))))
+    };
+
+    // Newer lines, forwards: each replaces what the map holds. A last line
+    // without a newline (torn, or another writer's still landing) waits.
+    while index.high < end {
+        let want = (end - index.high).min(SCAN_CHUNK as u64) as usize;
+        buf.resize(want, 0);
+        read_at(&files.index, &mut buf, index.high)?;
+        let read = match buf.iter().rposition(|&b| b == b'\n') {
+            Some(last) => {
+                index
+                    .records
+                    .extend(buf[..last].split(|&b| b == b'\n').filter_map(entry));
+                last + 1
+            }
+            None if want < SCAN_CHUNK => break,
+            // A full window without a newline is garbage: skip it.
+            None => want,
+        };
+        index.high += read as u64;
+        index.tail = buf[read.saturating_sub(ENTRY_LEN + 1)..read].to_vec();
+    }
+
+    // Older lines, backwards: each fills in only digests the map lacks.
+    while index.low > 0 && !index.records.contains_key(digest) {
+        let start = index.low.saturating_sub(SCAN_CHUNK as u64);
+        buf.resize((index.low - start) as usize, 0);
+        read_at(&files.index, &mut buf, start)?;
+        // The window's first line may begin before it; the next window
+        // reads it whole.
+        let first = match buf.iter().position(|&b| b == b'\n') {
+            Some(newline) if start > 0 => newline + 1,
+            _ => 0,
+        };
+        for (digest, at) in buf[first..].rsplit(|&b| b == b'\n').filter_map(entry) {
+            index.records.entry(digest).or_insert(at);
+        }
+        index.low = start + first as u64;
+    }
+    Ok(())
+}
+
+/// Parses the entry in the last [`ENTRY_LEN`] bytes of an index line, so
+/// a torn line's remnant in front of it does not hide it.
+fn parse_entry(line: &[u8]) -> Option<(Digest, u64, u64)> {
+    let entry = &line[line.len().checked_sub(ENTRY_LEN)?..];
+    if entry[64] != b' ' || entry[81] != b' ' {
+        return None;
+    }
+    let hex = |field: &[u8]| {
+        field
+            .iter()
+            .try_fold(0u64, |n, &c| Some(n << 4 | u64::from(hex_digit(c)?)))
+    };
+    Some((
+        Digest::from_hex_bytes(&entry[..64])?,
+        hex(&entry[65..81])?,
+        hex(&entry[82..])?,
+    ))
 }
 
 /// True when results for `cfg` may be served from / written to the store.

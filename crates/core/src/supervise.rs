@@ -1018,57 +1018,71 @@ impl SweepSupervisor {
         let grid = crate::experiments::canonical_grid(&self.protocols, &self.clients);
         let seed = self.base.seed;
 
-        // Per-point configs, digests and journal keys, in canonical order.
-        let mut cfgs = Vec::with_capacity(grid.len());
-        let mut digests = Vec::with_capacity(grid.len());
-        let mut keys = Vec::with_capacity(grid.len());
-        for &(p, n) in &grid {
-            let mut cfg = self.base;
-            cfg.num_clients = n;
-            cfg.apply_protocol(p);
-            let digest = store::point_digest(&cfg);
-            keys.push(digest.hex());
-            digests.push(digest);
-            cfgs.push(cfg);
-        }
-
         let store = self
             .store
             .as_deref()
             .filter(|_| store::cacheable(&self.base));
 
-        // Phase 1 (sequential, cheap): resolve each point against the
-        // journal and then the result store, before any dispatch.
+        // Phase 1, on the job threads: each point's config and digest, and
+        // a store lookup unless the journal already holds the point.
+        // Without a store this is only hashing, not worth a thread.
+        let jobs = if store.is_some() {
+            self.supervisor.jobs
+        } else {
+            1
+        };
+        let resolved = crate::parallel::run_indexed(jobs, grid.len(), |i| {
+            let (p, n) = grid[i];
+            let mut cfg = self.base;
+            cfg.num_clients = n;
+            cfg.apply_protocol(p);
+            let digest = store::point_digest(&cfg);
+            let key = digest.hex();
+            let stored = store
+                .filter(|_| !done.contains_key(&key))
+                .and_then(|store| store.get(&digest));
+            (cfg, digest, key, stored)
+        });
+
+        // Then serially, in canonical order, so the counts and the journal
+        // bytes are the same at any job count: restore journalled points,
+        // and journal and count the store's answers.
+        let mut cfgs = Vec::with_capacity(grid.len());
+        let mut digests = Vec::with_capacity(grid.len());
+        let mut keys = Vec::with_capacity(grid.len());
         let mut slots: Vec<Option<ScenarioReport>> = (0..grid.len()).map(|_| None).collect();
         let mut fail_map: HashMap<usize, RunError> = HashMap::new();
         let mut resumed_points = 0usize;
         let mut cache_hits = 0usize;
         let mut cache_misses = 0usize;
-        for i in 0..grid.len() {
+        for (i, (cfg, digest, key, stored)) in resolved.into_iter().enumerate() {
+            cfgs.push(cfg);
+            digests.push(digest);
+            keys.push(key);
             if let Some(entry) = done.get(&keys[i]) {
                 slots[i] = Some(entry.reconstruct_report());
                 resumed_points += 1;
                 continue;
             }
-            let Some(store) = store else { continue };
-            match store.get(&digests[i]) {
-                Some(report) => {
-                    // A cache hit still earns its journal line, so a later
-                    // resume needs neither the store nor a re-run.
-                    if let Some(journal) = journal {
-                        let (p, n) = grid[i];
-                        let entry =
-                            JournalEntry::from_report(keys[i].clone(), p, n, seed, &report);
-                        if let Err(e) = journal.append(&entry) {
-                            fail_map.insert(i, e);
-                            continue;
-                        }
-                    }
-                    cache_hits += 1;
-                    slots[i] = Some(report);
-                }
-                None => cache_misses += 1,
+            if store.is_none() {
+                continue;
             }
+            let Some(report) = stored else {
+                cache_misses += 1;
+                continue;
+            };
+            // A cache hit still earns its journal line, so a later resume
+            // needs neither the store nor a re-run.
+            if let Some(journal) = journal {
+                let (p, n) = grid[i];
+                let entry = JournalEntry::from_report(keys[i].clone(), p, n, seed, &report);
+                if let Err(e) = journal.append(&entry) {
+                    fail_map.insert(i, e);
+                    continue;
+                }
+            }
+            cache_hits += 1;
+            slots[i] = Some(report);
         }
 
         // Phase 2: dispatch what remains — worker processes when configured

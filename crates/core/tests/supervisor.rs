@@ -1,13 +1,17 @@
 //! Integration tests of the sweep supervisor: panic isolation, failure
-//! policies, watchdog budgets with doubling retries, and the invariant
-//! auditor on the paper's own configurations.
+//! policies, watchdog budgets with doubling retries, the invariant
+//! auditor on the paper's own configurations, and store resolution that
+//! is the same at any job count.
 
-use std::sync::Mutex;
+use std::fs;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use tcpburst_core::{
-    run_point, ExceededBudget, FailurePolicy, PointOutcome, Protocol, RunBudget, RunError,
-    ScenarioBuilder, ScenarioConfig, Supervisor,
+    point_digest, run_point, ExceededBudget, FailurePolicy, PointOutcome, Protocol, ResultStore,
+    RunBudget, RunError, Scenario, ScenarioBuilder, ScenarioConfig, SupervisedSweep, Supervisor,
+    SweepSupervisor,
 };
 
 fn audited_cfg(protocol: Protocol, clients: usize, secs: u64) -> ScenarioConfig {
@@ -178,4 +182,106 @@ fn audit_passes_on_the_paper_vegas_configuration() {
     let r = run_point(&cfg, &RunBudget::UNLIMITED).expect("64-client Vegas audits clean");
     let audit = r.audit.expect("auditor ran");
     assert!(audit.passed(), "{audit}");
+}
+
+static CASE: AtomicU64 = AtomicU64::new(0);
+
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    let n = CASE.fetch_add(1, Ordering::SeqCst);
+    std::env::temp_dir().join(format!(
+        "tcpburst-supervisor-{tag}-{}-{n}",
+        std::process::id()
+    ))
+}
+
+fn figure_tables(s: &SupervisedSweep) -> String {
+    format!(
+        "{}{}{}{}",
+        s.sweep.fig2_cov_table(),
+        s.sweep.fig3_throughput_table(),
+        s.sweep.fig4_loss_table(),
+        s.sweep.fig13_timeout_ratio_table()
+    )
+}
+
+/// Stored points are looked up on the job threads, but the counts, the
+/// store's lookups, the tables and the journal must not depend on how
+/// many threads did it; and a resume never looks up what the journal
+/// already holds.
+#[test]
+fn store_resolution_is_identical_at_any_job_count() {
+    let base = ScenarioBuilder::paper()
+        .instrumentation(|i| i.secs(2).seed(0x5EED))
+        .finish();
+    let protocols = [Protocol::Reno, Protocol::Vegas];
+    let clients = [3usize, 5, 8];
+    let points: Vec<ScenarioConfig> = protocols
+        .iter()
+        .flat_map(|&p| {
+            clients.iter().map(move |&n| {
+                ScenarioBuilder::from_config(base)
+                    .topology(|t| t.clients(n))
+                    .transport(|t| t.protocol(p))
+                    .finish()
+            })
+        })
+        .collect();
+
+    let mut runs = Vec::new();
+    for jobs in [1usize, 4] {
+        // Half the grid (every other point) is already stored.
+        let root = temp_path("store");
+        let filler = ResultStore::open(&root).expect("temp store is creatable");
+        for cfg in points.iter().step_by(2) {
+            assert!(filler
+                .put(&point_digest(cfg), &Scenario::run(cfg))
+                .expect("put succeeds"));
+        }
+        let store = Arc::new(ResultStore::open(&root).expect("store reopens"));
+        let journal = temp_path("journal");
+        let sweep = SweepSupervisor::new(&base, &protocols, &clients)
+            .jobs(jobs)
+            .store(Arc::clone(&store));
+        let s = sweep
+            .run_with_journal(&journal)
+            .expect("temp journal is writable");
+        assert!(s.all_complete() && s.journal_error.is_none());
+        let stats = store.stats();
+        let journal_bytes = fs::read(&journal).expect("finalized journal exists");
+
+        // Resume from the header plus the first two points: those two are
+        // restored from the journal and never looked up in the store.
+        let text = String::from_utf8(journal_bytes.clone()).expect("journal is text");
+        let kept: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+        fs::write(&journal, kept).expect("journal is rewritable");
+        let store = Arc::new(ResultStore::open(&root).expect("store reopens"));
+        let resumed = SweepSupervisor::new(&base, &protocols, &clients)
+            .jobs(jobs)
+            .store(Arc::clone(&store))
+            .resume_from(&journal)
+            .expect("truncated journal is readable");
+        let resumed_stats = store.stats();
+        assert_eq!(resumed.resumed_points, 2);
+        assert_eq!(
+            resumed_stats.hits + resumed_stats.misses,
+            (points.len() - 2) as u64,
+            "jobs={jobs}: a journalled point was looked up in the store"
+        );
+        assert_eq!(fs::read(&journal).unwrap(), journal_bytes);
+
+        runs.push((
+            (s.cache_hits, s.cache_misses),
+            stats.hits + stats.misses,
+            figure_tables(&s),
+            journal_bytes,
+            (resumed.cache_hits, resumed.cache_misses),
+            figure_tables(&resumed),
+        ));
+        let _ = fs::remove_dir_all(&root);
+        let _ = fs::remove_file(&journal);
+    }
+    assert_eq!(runs[0].0, (3, 3), "half the grid was stored");
+    assert_eq!(runs[0].1, 6);
+    assert_eq!(runs[0].2, runs[0].5, "the resume renders the same tables");
+    assert_eq!(runs[0], runs[1], "jobs 1 and 4 disagree");
 }

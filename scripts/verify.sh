@@ -64,11 +64,22 @@ echo "==> result cache: a repeated sweep must be 100% hits and byte-identical"
 ./target/release/tcpburst sweep --clients 5,15 --secs 3 --jobs 2 \
     --cache "$TMP/roundtrip" > "$TMP/cold.txt" 2> "$TMP/cold.err"
 grep -q "cache: 0 hit(s)" "$TMP/cold.err"
+# One append-only pack and its index per store, no per-point fan-out
+# directories.
+pack=$(ls "$TMP"/roundtrip/results-v*.pack)
+test -s "$pack"
+test -s "${pack%.pack}.idx"
+if ls "$TMP/roundtrip" | grep -qE '^[0-9a-f]{2}$'; then
+    echo "FAIL: the store wrote a two-hex fan-out directory" >&2
+    exit 1
+fi
+cold_store_bytes="$(wc -c < "$pack") $(wc -c < "${pack%.pack}.idx")"
 ./target/release/tcpburst sweep --clients 5,15 --secs 3 --jobs 2 \
     --cache "$TMP/roundtrip" > "$TMP/warm.txt" 2> "$TMP/warm.err"
 diff "$TMP/cold.txt" "$TMP/warm.txt"
 grep -q "(100% cache hits)" "$TMP/warm.err"
-echo "warm re-sweep served every point from the cache, same bytes"
+test "$(wc -c < "$pack") $(wc -c < "${pack%.pack}.idx")" = "$cold_store_bytes"
+echo "warm re-sweep served every point from the cache, same bytes, store unchanged"
 
 echo "==> worker processes: --workers 2 must equal --workers 1 bit-for-bit"
 # --no-cache so the second run actually exercises the fork/IPC/merge path
