@@ -315,7 +315,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--max-sim-secs" => {
                 let v = argv.next().ok_or("--max-sim-secs requires a value")?;
                 let s: f64 = v.parse().map_err(|e| format!("--max-sim-secs: {e}"))?;
-                if !(s > 0.0) {
+                if s.is_nan() || s <= 0.0 {
                     return Err("--max-sim-secs must be positive".into());
                 }
                 budget.max_sim_time = Some(SimDuration::from_nanos((s * 1e9) as u64));
@@ -323,7 +323,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--max-wall-secs" => {
                 let v = argv.next().ok_or("--max-wall-secs requires a value")?;
                 let s: f64 = v.parse().map_err(|e| format!("--max-wall-secs: {e}"))?;
-                if !(s >= 0.0) {
+                if s.is_nan() || s < 0.0 {
                     return Err("--max-wall-secs must be non-negative".into());
                 }
                 budget.max_wall = Some(Duration::from_secs_f64(s));

@@ -91,7 +91,7 @@ pub fn encodable(report: &ScenarioReport) -> bool {
         && report.hop_series.is_none()
         && report.budget_exceeded.is_none()
         && report.flows.iter().all(|f| f.cwnd_trace.is_none())
-        && report.audit.as_ref().map_or(true, |a| a.passed())
+        && report.audit.as_ref().is_none_or(|a| a.passed())
 }
 
 /// Serializes `report` to the line-based text payload, or `None` if the

@@ -515,7 +515,7 @@ where
     fn finish_remote(&self, j: usize, reply: Reply) -> RemoteStep {
         match reply {
             Reply::Done(report) => {
-                self.resolve(j, PointOutcome::Done(report));
+                self.resolve(j, PointOutcome::Done(*report));
                 RemoteStep::Continue
             }
             Reply::Fail { kind, message } => {
@@ -752,7 +752,7 @@ enum SessionEnd {
 /// registers under the shared token, and serves grid points — computing
 /// each in a helper thread while heartbeating the connection — until a
 /// clean shutdown. A lost connection reconnects with exponential backoff
-/// + jitter, offering the held job digest so the daemon can `resume` the
+/// and jitter, offering the held job digest so the daemon can `resume` the
 /// session without reshipping the config. Returns the process exit code.
 ///
 /// `parse` rebuilds the scenario base config from a job's argv tail (the

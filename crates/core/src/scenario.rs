@@ -144,6 +144,10 @@ pub struct Scenario {
     clients: Clients,
     servers: Servers,
     sources: Vec<AnySource>,
+    /// Per-flow time of the next arrival of a window-full TCP sender, held
+    /// here instead of as a queued `Generate` (see
+    /// [`Scenario::absorb_due`]); `None` while that event is queued.
+    parked: Vec<Option<SimTime>>,
     probe: BinnedCounter,
     /// Scratch buffer for packets produced by endpoint handlers.
     outbox: Vec<Packet>,
@@ -249,6 +253,7 @@ impl Scenario {
             clients,
             servers,
             sources,
+            parked: vec![None; num_flows],
             probe,
             outbox: Vec::with_capacity(64),
             generated: 0,
@@ -377,6 +382,7 @@ impl Scenario {
             while let Some((_, event)) = self.sched.pop_batched(horizon) {
                 self.dispatch(event);
             }
+            self.absorb_all_due();
             self.wall_clock += started.elapsed();
             return None;
         }
@@ -414,15 +420,19 @@ impl Scenario {
                 }
             }
         }
+        self.absorb_all_due();
         self.wall_clock += started.elapsed();
 
         // A limit only counts as *exceeded* if the simulation still had
         // work left inside the configured horizon — a run that hits its
-        // event cap on its very last event simply finished.
+        // event cap on its very last event simply finished. A parked
+        // arrival is work an eager `Generate` would have queued.
         let more_pending = self
             .sched
             .peek_time()
-            .is_some_and(|t| t <= horizon);
+            .into_iter()
+            .chain(self.parked.iter().flatten().copied())
+            .any(|t| t <= horizon);
         self.budget_exceeded = match tripped {
             Some(e) if more_pending => Some(e),
             Some(_) => None,
@@ -610,7 +620,63 @@ impl Scenario {
         }
         self.flush_outbox();
         let gap = self.sources[idx].next_gap();
-        self.sched.schedule_after(gap, Event::Generate { client });
+        match &self.clients {
+            // A full window turns the next arrival into a backlog
+            // increment, so it waits for the sender's next event instead
+            // of the queue.
+            Clients::Tcp(txs) if txs[idx].window_full() => {
+                self.parked[idx] = Some(now + gap);
+            }
+            _ => self.sched.schedule_after(gap, Event::Generate { client }),
+        }
+    }
+
+    /// Submits flow `idx`'s parked arrivals due by now, drawing each next
+    /// gap from the flow's source in order. Called before each of the
+    /// sender's own events: only those can open its window, so every
+    /// arrival absorbed here found the window full, and submitting it
+    /// then would have done nothing but grow the backlog.
+    fn absorb_due(&mut self, idx: usize) {
+        let Some(at) = self.parked[idx].as_mut() else {
+            return;
+        };
+        let now = self.sched.now();
+        if *at > now {
+            return;
+        }
+        let mut due = 0;
+        while *at <= now {
+            due += 1;
+            *at += self.sources[idx].next_gap();
+        }
+        self.generated += due;
+        if let Clients::Tcp(txs) = &mut self.clients {
+            txs[idx].absorb_app_packets(due);
+        }
+    }
+
+    /// After one of flow `idx`'s sender events: if its window opened, the
+    /// parked arrival goes back into the queue as a `Generate`.
+    fn unpark_if_open(&mut self, idx: usize) {
+        let Some(at) = self.parked[idx] else {
+            return;
+        };
+        if let Clients::Tcp(txs) = &self.clients {
+            if txs[idx].window_full() {
+                return;
+            }
+        }
+        self.parked[idx] = None;
+        self.sched
+            .schedule_at(at, Event::Generate { client: idx as u32 });
+    }
+
+    /// Absorbs every flow's parked arrivals due by now, so the run's
+    /// arrival counts are complete wherever the loop stopped.
+    fn absorb_all_due(&mut self) {
+        for idx in 0..self.parked.len() {
+            self.absorb_due(idx);
+        }
     }
 
     fn on_host_delivery(&mut self, packet: Packet) {
@@ -640,26 +706,28 @@ impl Scenario {
                 }
                 Servers::Tcp(_) => unreachable!("TCP receiver got a datagram"),
             },
-            PacketKind::TcpAck { ack, ece, sack } => match &mut self.clients {
-                Clients::Tcp(txs) => {
-                    let tx = &mut txs[idx];
-                    // Snapshot the counters only when a trace log wants the
-                    // before/after diff — the copy is pure overhead otherwise.
-                    let before = self.event_log.is_some().then(|| tx.counters());
-                    tx.on_ack(ack, ece, sack, &mut self.sched, &mut self.outbox);
-                    if let (Some(log), Some(before)) = (self.event_log.as_mut(), before) {
-                        let after = tx.counters();
-                        let now = self.sched.now();
-                        if after.fast_retransmits > before.fast_retransmits {
-                            log.record(now, TraceKind::FastRetransmit { flow: packet.flow });
-                        }
-                        if after.ecn_window_cuts > before.ecn_window_cuts {
-                            log.record(now, TraceKind::EcnCut { flow: packet.flow });
-                        }
+            PacketKind::TcpAck { ack, ece, sack } => {
+                self.absorb_due(idx);
+                let Clients::Tcp(txs) = &mut self.clients else {
+                    unreachable!("UDP source received a TCP ACK");
+                };
+                let tx = &mut txs[idx];
+                // Snapshot the counters only when a trace log wants the
+                // before/after diff — the copy is pure overhead otherwise.
+                let before = self.event_log.is_some().then(|| tx.counters());
+                tx.on_ack(ack, ece, sack, &mut self.sched, &mut self.outbox);
+                if let (Some(log), Some(before)) = (self.event_log.as_mut(), before) {
+                    let after = tx.counters();
+                    let now = self.sched.now();
+                    if after.fast_retransmits > before.fast_retransmits {
+                        log.record(now, TraceKind::FastRetransmit { flow: packet.flow });
+                    }
+                    if after.ecn_window_cuts > before.ecn_window_cuts {
+                        log.record(now, TraceKind::EcnCut { flow: packet.flow });
                     }
                 }
-                Clients::Udp(_) => unreachable!("UDP source received a TCP ACK"),
-            },
+                self.unpark_if_open(idx);
+            }
         }
         self.flush_outbox();
     }
@@ -668,6 +736,7 @@ impl Scenario {
         let idx = ev.flow.0 as usize;
         match ev.kind {
             TimerKind::Rto | TimerKind::Pace => {
+                self.absorb_due(idx);
                 if let Clients::Tcp(txs) = &mut self.clients {
                     let tx = &mut txs[idx];
                     let before = tx.counters().timeouts;
@@ -682,6 +751,7 @@ impl Scenario {
                         }
                     }
                 }
+                self.unpark_if_open(idx);
             }
             TimerKind::DelAck => {
                 if let Servers::Tcp(rxs) = &mut self.servers {
@@ -758,7 +828,7 @@ impl Scenario {
                 });
             }
             let avg = link.queue().occupancy().average(end, link.queue().len());
-            if !(avg >= 0.0) {
+            if avg.is_nan() || avg < 0.0 {
                 violations.push(InvariantViolation {
                     invariant: "occupancy-non-negative",
                     detail: format!("link {id}: time-weighted average backlog {avg}"),
@@ -801,14 +871,14 @@ impl Scenario {
         if let Clients::Tcp(txs) = &self.clients {
             for (i, tx) in txs.iter().enumerate() {
                 let cwnd = tx.cwnd();
-                if !(cwnd >= 1.0) {
+                if cwnd.is_nan() || cwnd < 1.0 {
                     violations.push(InvariantViolation {
                         invariant: "cwnd-floor",
                         detail: format!("client {i}: cwnd {cwnd} below 1 MSS"),
                     });
                 }
                 let ssthresh = tx.ssthresh();
-                if !(ssthresh >= 2.0) {
+                if ssthresh.is_nan() || ssthresh < 2.0 {
                     violations.push(InvariantViolation {
                         invariant: "ssthresh-floor",
                         detail: format!("client {i}: ssthresh {ssthresh} below 2 MSS"),
@@ -924,7 +994,7 @@ impl Scenario {
             },
             dispatch: self.profile,
             event_log: self.event_log,
-            hop_series: (!self.hop_occ.is_empty()).then(|| HopSeries {
+            hop_series: (!self.hop_occ.is_empty()).then_some(HopSeries {
                 occupancy: self.hop_occ,
                 utilization: self.hop_util,
             }),
@@ -1241,6 +1311,89 @@ mod tests {
         let r = s.into_report();
         assert_eq!(r.budget_exceeded, None);
         assert!(r.delivered_packets > 0);
+    }
+
+    /// Arrivals at or before `horizon`, counted by redrawing every flow's
+    /// Poisson stream independently of the event loop.
+    fn oracle_arrivals(cfg: &ScenarioConfig, horizon: SimTime) -> u64 {
+        let SourceKind::Poisson { rate } = cfg.source else {
+            panic!("the oracle redraws Poisson sources only");
+        };
+        (0..cfg.num_flows())
+            .map(|i| {
+                let mut source = PoissonSource::new(rate, SimRng::derive(cfg.seed, i as u64));
+                let mut count = 0;
+                let mut at = SimTime::ZERO + source.next_gap();
+                while at <= horizon {
+                    count += 1;
+                    at += source.next_gap();
+                }
+                count
+            })
+            .sum()
+    }
+
+    #[test]
+    fn generated_packets_match_an_independent_arrival_oracle() {
+        let parking_lot = ScenarioBuilder::from_config(quick_cfg(Protocol::Reno, 1, 10))
+            .topology(|t| {
+                t.shape(crate::config::TopoKind::ParkingLot {
+                    hops: 5,
+                    flows_per_hop: 4,
+                })
+            })
+            .finish();
+        for mut cfg in [
+            quick_cfg(Protocol::Reno, 64, 10),
+            quick_cfg(Protocol::Udp, 64, 10),
+            parking_lot,
+        ] {
+            let expected = oracle_arrivals(&cfg, SimTime::ZERO + cfg.duration);
+            // Both loops: auditing takes the budgeted one.
+            for audit in [false, true] {
+                cfg.audit = audit;
+                let r = Scenario::run(&cfg);
+                assert_eq!(
+                    r.generated_packets, expected,
+                    "{:?} audit={audit}",
+                    cfg.topology
+                );
+                assert!(r.audit.as_ref().is_none_or(AuditReport::passed));
+            }
+        }
+    }
+
+    #[test]
+    fn window_full_senders_dispatch_almost_no_generate_events() {
+        let reno = quick(Protocol::Reno, 64, 30);
+        assert!(
+            reno.dispatch.generate.count * 20 <= reno.generated_packets,
+            "{} Generate events for {} arrivals",
+            reno.dispatch.generate.count,
+            reno.generated_packets
+        );
+        let udp = quick(Protocol::Udp, 64, 30);
+        assert_eq!(udp.dispatch.generate.count, udp.generated_packets);
+    }
+
+    #[test]
+    fn event_budget_stop_keeps_arrival_accounting_exact() {
+        let cfg = quick_cfg(Protocol::Reno, 64, 30);
+        let budget = RunBudget {
+            max_events: Some(200_000),
+            ..RunBudget::UNLIMITED
+        };
+        let mut s = Scenario::new(&cfg);
+        assert_eq!(s.run_with_budget(&budget), Some(ExceededBudget::Events));
+        let stopped_at = s.now();
+        let r = s.into_report();
+        assert!(
+            r.dispatch.generate.count < r.generated_packets,
+            "the stop must land while arrivals are being absorbed"
+        );
+        assert_eq!(r.generated_packets, oracle_arrivals(&cfg, stopped_at));
+        let audit = r.audit.as_ref().expect("audit enabled");
+        assert!(audit.passed(), "{audit}");
     }
 
     #[test]

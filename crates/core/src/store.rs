@@ -89,7 +89,7 @@ use crate::supervise::{run_point, RunBudget, RunError};
 /// every result-store entry and every resume journal at once — do so
 /// whenever a simulation change moves any reported number, or a change to
 /// [`ScenarioConfig`]'s fields moves every digest.
-pub const ENGINE_SCHEMA_VERSION: u32 = 5;
+pub const ENGINE_SCHEMA_VERSION: u32 = 6;
 
 // ---------------------------------------------------------------------------
 // SHA-256 (in-tree: the workspace builds fully offline, no external crates)
@@ -466,6 +466,13 @@ impl ResultStore {
     pub fn pack_path(&self) -> PathBuf {
         self.root
             .join(format!("results-v{ENGINE_SCHEMA_VERSION}.pack"))
+    }
+
+    /// True when this schema's pack holds at least one byte, so a lookup
+    /// can hit. One `stat`; a store with no pack yet answers every lookup
+    /// with a miss.
+    pub fn has_records(&self) -> bool {
+        fs::metadata(self.pack_path()).is_ok_and(|m| m.len() > 0)
     }
 
     /// The index file that locates each record in the pack.

@@ -1025,8 +1025,9 @@ impl SweepSupervisor {
 
         // Phase 1, on the job threads: each point's config and digest, and
         // a store lookup unless the journal already holds the point.
-        // Without a store this is only hashing, not worth a thread.
-        let jobs = if store.is_some() {
+        // Without a store, or with one that holds no records yet, this is
+        // only hashing and certain misses, not worth a thread.
+        let jobs = if store.is_some_and(ResultStore::has_records) {
             self.supervisor.jobs
         } else {
             1

@@ -128,7 +128,7 @@ pub(crate) fn parse_point_frame(text: &str) -> Option<(usize, PointSpec, RunBudg
 /// What a worker sent back for one point.
 pub(crate) enum Reply {
     /// The point completed; decoded report attached.
-    Done(ScenarioReport),
+    Done(Box<ScenarioReport>),
     /// The point failed remotely with a typed kind and message.
     Fail {
         /// The remote [`RunError::kind`].
@@ -149,7 +149,7 @@ pub(crate) fn parse_reply(text: &str) -> Option<(usize, Reply)> {
             if tokens.next().is_some() {
                 return None;
             }
-            Some((index, Reply::Done(codec::decode(body)?)))
+            Some((index, Reply::Done(Box::new(codec::decode(body)?))))
         }
         "fail" => Some((
             index,
@@ -567,7 +567,7 @@ impl WorkerPool {
                     }
                     let worker = proc.as_mut().expect("worker was just spawned");
                     match worker.run_point(index, point, &budget) {
-                        Ok(Reply::Done(report)) => return finish(index, report),
+                        Ok(Reply::Done(report)) => return finish(index, *report),
                         Ok(Reply::Fail { kind, message }) => {
                             if kind == "budget-exceeded" && attempt < self.retries {
                                 attempt += 1;

@@ -130,8 +130,10 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
 
 /// Journals written by older engines must fail loudly, not mix their
 /// lines into a current sweep: schema 3 carries `events` counts from
-/// before the lazy transmit clock, and schema 4 was keyed by digests of a
-/// configuration that still carried a `shards` field.
+/// before the lazy transmit clock, schema 4 was keyed by digests of a
+/// configuration that still carried a `shards` field, and schema 5
+/// carries event counts from before window-full senders absorbed their
+/// arrivals.
 #[test]
 fn resume_rejects_a_schema_3_journal() {
     let cfg = ScenarioBuilder::paper()
@@ -145,10 +147,10 @@ fn resume_rejects_a_schema_3_journal() {
         .run_with_journal(&path)
         .expect("temp journal is writable");
     let raw = fs::read_to_string(&path).expect("journal exists");
-    assert!(raw.contains("\"schema_version\":5"));
-    for stale in [3, 4] {
+    assert!(raw.contains("\"schema_version\":6"));
+    for stale in [3, 4, 5] {
         let old = raw.replace(
-            "\"schema_version\":5",
+            "\"schema_version\":6",
             &format!("\"schema_version\":{stale}"),
         );
         fs::write(&path, &old).unwrap();

@@ -84,6 +84,22 @@ fn warm_hit_is_bit_identical_to_cold_run() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// `has_records` is what lets a sweep skip threaded lookups into a store
+/// that cannot hit: false until the first record lands, true after.
+#[test]
+fn has_records_tracks_whether_the_pack_holds_anything() {
+    let root = temp_store();
+    let store = ResultStore::open(&root).expect("temp store is creatable");
+    assert!(!store.has_records(), "a new store has no pack");
+    fs::create_dir_all(&root).expect("root is creatable");
+    fs::write(store.pack_path(), b"").expect("pack is writable");
+    assert!(!store.has_records(), "an empty pack holds nothing");
+    run_point_cached(&small_cfg(13), &RunBudget::UNLIMITED, Some(&store))
+        .expect("small scenario runs");
+    assert!(store.has_records());
+    let _ = fs::remove_dir_all(&root);
+}
+
 #[test]
 fn poisoned_entry_is_detected_and_recomputed() {
     let root = temp_store();
@@ -122,14 +138,15 @@ fn poisoned_entry_is_detected_and_recomputed() {
 
 /// Records written by older engines are never served: schema 3 (before
 /// the lazy transmit clock changed the `events` and `pending_peak` it
-/// stores) and schema 4 (whose configurations still carried a `shards`
-/// field, so every digest differs). Neither is served under its own
-/// schema's key, which a current lookup never asks for, nor relabelled
-/// into the current key's record.
+/// stores), schema 4 (whose configurations still carried a `shards`
+/// field, so every digest differs) and schema 5 (before window-full
+/// senders absorbed their arrivals, which changed the stored event
+/// counts). None is served under its own schema's key, which a current
+/// lookup never asks for, nor relabelled into the current key's record.
 #[test]
 fn schema_3_entries_are_stale_and_never_reused() {
-    assert_eq!(ENGINE_SCHEMA_VERSION, 5);
-    for (stale, seed) in [(3u32, 41u64), (4, 43)] {
+    assert_eq!(ENGINE_SCHEMA_VERSION, 6);
+    for (stale, seed) in [(3u32, 41u64), (4, 43), (5, 47)] {
         let root = temp_store();
         let cfg = small_cfg(seed);
         let store = ResultStore::open(&root).expect("temp store is creatable");
@@ -137,12 +154,12 @@ fn schema_3_entries_are_stale_and_never_reused() {
             .expect("small scenario runs");
         let fresh_bytes = canonical_bytes(&fresh);
         let path = store.pack_path();
-        assert!(path.ends_with("results-v5.pack"), "one pack per schema");
+        assert!(path.ends_with("results-v6.pack"), "one pack per schema");
         let raw = fs::read_to_string(&path).expect("pack exists");
         assert_eq!(record_span(raw.as_bytes(), &cfg), 0..raw.len());
         let (header, payload) = raw.split_once('\n').expect("record has a header line");
         let fields: Vec<&str> = header.split(' ').collect();
-        assert_eq!(fields[1], "5", "records are stamped with the schema");
+        assert_eq!(fields[1], "6", "records are stamped with the schema");
 
         // The current record relabelled stale (checksums still valid),
         // then the same payload as a well-formed record under the stale
@@ -150,7 +167,7 @@ fn schema_3_entries_are_stale_and_never_reused() {
         let old = Digest::of(format!("tcpburst-point-v{stale}|{cfg:?}").as_bytes());
         let stale_pack = format!(
             "{}{} {stale} {} {} {}\n{payload}",
-            raw.replacen(" 5 ", &format!(" {stale} "), 1),
+            raw.replacen(" 6 ", &format!(" {stale} "), 1),
             fields[0],
             old.hex(),
             fields[3],

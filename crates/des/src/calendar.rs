@@ -38,6 +38,7 @@
 //! reference in `tests/prop_calendar.rs`.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use crate::time::SimTime;
@@ -489,7 +490,7 @@ impl<E> Calendar<E> {
             if !bucket.is_empty() {
                 self.occupied[idx >> 6] |= 1 << (idx & 63);
                 // (time, seq) is unique, so unstable sort is deterministic.
-                bucket.sort_unstable_by(|a, b| (b.time, b.seq).cmp(&(a.time, a.seq)));
+                bucket.sort_unstable_by_key(|e| Reverse((e.time, e.seq)));
             }
         }
         // Re-park the scan on the earliest pending event.

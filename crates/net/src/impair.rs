@@ -306,11 +306,11 @@ fn parse_duration(s: &str) -> Result<SimDuration, String> {
 
 fn fmt_duration(d: SimDuration) -> String {
     let ns = d.as_nanos();
-    if ns % 1_000_000_000 == 0 {
+    if ns.is_multiple_of(1_000_000_000) {
         format!("{}s", ns / 1_000_000_000)
-    } else if ns % 1_000_000 == 0 {
+    } else if ns.is_multiple_of(1_000_000) {
         format!("{}ms", ns / 1_000_000)
-    } else if ns % 1_000 == 0 {
+    } else if ns.is_multiple_of(1_000) {
         format!("{}us", ns / 1_000)
     } else {
         format!("{ns}ns")

@@ -231,9 +231,9 @@ impl Topology {
                     }
                 }
             }
-            for u in 0..n {
-                if via[u] != u32::MAX {
-                    self.network.set_route(NodeId(u as u32), dst, LinkId(via[u]));
+            for (u, &link) in via.iter().enumerate() {
+                if link != u32::MAX {
+                    self.network.set_route(NodeId(u as u32), dst, LinkId(link));
                 }
             }
         }
@@ -367,7 +367,7 @@ impl DumbbellConfig {
     /// them as zero rather than panicking.
     pub fn client_delay_of(&self, i: usize) -> SimDuration {
         let spread = self.client_delay_spread;
-        if self.num_clients <= 1 || !(spread > 0.0) || !spread.is_finite() {
+        if self.num_clients <= 1 || !(spread.is_finite() && spread > 0.0) {
             return self.client_delay;
         }
         let frac = i as f64 / (self.num_clients - 1) as f64;
@@ -995,7 +995,7 @@ fn build_waxman(
         if count == 0 || !is_site(link.from()) || !is_site(link.to()) {
             continue;
         }
-        if best.map_or(true, |(c, _)| count > c) {
+        if best.is_none_or(|(c, _)| count > c) {
             best = Some((count, id as u32));
         }
     }

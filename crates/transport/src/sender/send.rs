@@ -22,6 +22,23 @@ impl TcpSender {
         self.counters.peak_backlog = self.counters.peak_backlog.max(self.backlog());
     }
 
+    /// True while the flight fills the usable window, so a new application
+    /// packet can only join the backlog. Only the sender's own events (an
+    /// ACK, an RTO or pace firing) change this.
+    pub fn window_full(&self) -> bool {
+        self.in_flight() >= self.usable_window()
+    }
+
+    /// The application submits `count` more segments while the window is
+    /// full: exactly what [`on_app_packets`](TcpSender::on_app_packets)
+    /// does then, without the send attempt that could not send anything.
+    pub fn absorb_app_packets(&mut self, count: u64) {
+        debug_assert!(self.window_full(), "absorbing arrivals at an open window");
+        self.app_limit = SeqNo(self.app_limit.0 + count);
+        self.counters.app_packets_submitted += count;
+        self.counters.peak_backlog = self.counters.peak_backlog.max(self.backlog());
+    }
+
     /// The usable window: `min(⌊cwnd⌋, advertised)`.
     fn usable_window(&self) -> u64 {
         (self.cwnd.floor() as u64).min(u64::from(self.cfg.advertised_window))

@@ -119,7 +119,7 @@ fn variants() -> impl Strategy<Value = TcpVariant> {
 }
 
 fn gaimd_beta() -> impl Strategy<Value = f64> {
-    prop_oneof![Just(1.0f64), (0.001f64..1.0)]
+    prop_oneof![Just(1.0f64), 0.001f64..1.0]
 }
 
 proptest! {

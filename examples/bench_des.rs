@@ -20,11 +20,11 @@
 //! which shrinks everything so CI can assert the harness works in seconds).
 //!
 //! `--regress` instead *checks* the disabled-impairments fast path: it
-//! re-times the recorded scenario on the calendar backend and fails (exit
-//! 1) if simulated seconds per wall-clock second fell more than 10% below
-//! the `BENCH_des.json` baseline — the guard that the fault-injection hooks
-//! cost nothing when off. The gate measures simulated time rather than
-//! events because the work one event stands for is not fixed: the engine
+//! re-times the recorded scenario on the calendar backend and exits with
+//! status 1 if simulated seconds per wall-clock second fell more than 10%
+//! below the `BENCH_des.json` baseline — the guard that the fault-injection
+//! hooks cost nothing when off. The gate measures simulated time rather
+//! than events because the work one event stands for is not fixed: the engine
 //! skips events that would change nothing, so fewer events can mean a
 //! faster run, and events/s recorded before such a change cannot be
 //! compared with events/s after it.

@@ -107,8 +107,8 @@ fn main() {
     // --- event loop -------------------------------------------------------
     let mut sched: Scheduler<Event> = Scheduler::new();
     let mut out: Vec<Packet> = Vec::new();
-    for i in 0..total {
-        let gap = sources[i].next_gap();
+    for (i, source) in sources.iter_mut().enumerate() {
+        let gap = source.next_gap();
         sched.schedule_after(gap, Event::Generate { flow: i as u32 });
     }
     let horizon = SimTime::ZERO + SimDuration::from_secs(seconds);

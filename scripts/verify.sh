@@ -2,7 +2,7 @@
 # CI gate for tcpburst. Everything here must run fully offline: the
 # workspace has no external dependencies (see README "Offline builds").
 #
-#   sh scripts/verify.sh          # tier-1 + determinism + throughput bench
+#   sh scripts/verify.sh          # tier-1 + clippy + determinism + throughput bench
 #   BENCH=0 sh scripts/verify.sh  # skip the benchmarks (quick gate)
 set -eu
 
@@ -13,6 +13,9 @@ cargo build --release --offline
 
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline
+
+echo "==> lint: clippy on every target, warnings are errors"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> determinism: parallel sweep must equal serial bit-for-bit"
 cargo test -q --offline -p tcpburst-core --test parallel_determinism
