@@ -146,7 +146,7 @@ pub enum GatewayKind {
     Fifo,
     /// Random early detection.
     Red,
-    /// Self-configuring RED (adaptive `max_p`; the paper's reference [5]).
+    /// Self-configuring RED (adaptive `max_p`; the paper's reference \[5\]).
     AdaptiveRed,
 }
 

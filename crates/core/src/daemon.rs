@@ -1,7 +1,6 @@
 //! The distributed sweep service: a long-running daemon that accepts
 //! sweep jobs and worker registrations over TCP, and the remote worker
-//! that dials in and steals grid points from the same claim-counter pool
-//! the in-process engines use.
+//! that dials in and computes grid points for it.
 //!
 //! ## Topology
 //!
@@ -14,64 +13,35 @@
 //! connection by its first frame: `worker <token> <schema> <resume|->`
 //! registers a worker, `sweep <token>\n<argv…>` submits a job. Workers
 //! authenticate with the shared job token and are parked until a job is
-//! running; the job's [`RemoteExec`] then drives every registered worker
-//! from a shared claim pool — the same work-stealing discipline as the
-//! thread pool and process pool, so output stays byte-identical.
+//! running. The job's [`RemoteExec`] is then one more fleet for the
+//! scheduler in [`crate::workers`]: the same claim pool, requeue and
+//! resolve-once rules, retry policy and counters as `--workers N`, so
+//! output stays byte-identical and the robustness model described there
+//! holds here too.
 //!
-//! ## Robustness model
-//!
-//! Every failure mode has a bounded, counted recovery:
-//!
-//! * **Silent worker** — while a point is in flight the worker heartbeats
-//!   (`hb` frames) between compute polls; the daemon reads under a
-//!   liveness deadline, and a deadline expiry *requeues* the in-flight
-//!   point and drops the connection (`heartbeat_misses`).
-//! * **Dead or partitioned worker** — any frame error (EOF, truncation,
-//!   checksum, injected chaos) requeues the in-flight point
-//!   (`requeued_points`, `worker_restarts`).
-//! * **Hung simulation** — the per-point wall-clock budget travels in the
-//!   point frame; a worker that heartbeats past the budget-derived
-//!   deadline is cut off, and the point retries under the supervisor's
-//!   budget-doubling policy.
-//! * **Worker comeback** — a disconnected worker reconnects with
-//!   exponential backoff + jitter, offering the job digest it already
-//!   holds; a matching digest short-circuits to a `resume` handshake
-//!   (`backoff_retries`) instead of reshipping the config.
-//! * **Total worker loss** — when no worker has been live for a grace
-//!   period, the driver degrades gracefully and computes claims
-//!   *in-process*; a late worker can still rejoin and steal what's left.
-//!
-//! A point is resolved exactly once: a zombie worker's late reply for an
-//! already-requeued point is discarded, so the journal never sees a
-//! duplicate append and the byte-identity contract holds under any chaos
-//! schedule ([`crate::chaos`]).
+//! A disconnected worker reconnects with exponential backoff + jitter,
+//! offering the job digest it already holds; a matching digest
+//! short-circuits to a `resume` handshake (`backoff_retries`) instead of
+//! reshipping the config. A worker that has served a job gets `shutdown`
+//! and exits; one that registers after the job drained stays parked for
+//! the next job.
 
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::chaos::{ChaosSchedule, ChaosTransport, HEARTBEAT_PAYLOAD};
 use crate::config::ScenarioConfig;
 use crate::net_transport::{FrameTransport, TcpTransport};
-use crate::report::ScenarioReport;
 use crate::store::ENGINE_SCHEMA_VERSION;
-use crate::supervise::{FailurePolicy, PointOutcome, RunBudget, RunError};
-use crate::workers::{
-    parse_reply, point_frame, PointSpec, Reply, RobustnessCounters, SharedCounters,
-};
+use crate::workers::{serve_points, with_chaos, Event, Fleet, SessionEnd, Worker};
 
 /// How long a freshly accepted connection gets to identify itself.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Hard cap on how often one point may be requeued before it is failed —
-/// a backstop against a point that kills every worker it touches forever.
-const MAX_REQUEUES: u32 = 32;
-
-/// Tuning for the daemon side of the control plane.
+/// Tuning for the scheduler's side of the control plane.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecTuning {
     /// Read deadline while a point is in flight: a worker that sends
@@ -95,12 +65,24 @@ impl Default for ExecTuning {
 // Gateway: the daemon's accept loop
 // ---------------------------------------------------------------------------
 
-/// A registered remote worker, parked until a job drives it.
-pub(crate) struct WorkerConn {
-    transport: TcpTransport,
-    /// The job digest the worker already holds (a reconnecting worker's
-    /// resume offer), if any.
-    resume: Option<String>,
+/// Where registered workers go: parked until a job runs, then straight to
+/// the running job's scheduler.
+#[derive(Default)]
+struct Door {
+    parked: Vec<Worker>,
+    sink: Option<Sender<Event>>,
+}
+
+impl Door {
+    fn admit(&mut self, worker: Worker) {
+        match &self.sink {
+            // The job's receiver outlives its sink: `close` detaches first.
+            Some(sink) => {
+                let _ = sink.send(Event::Arrived(worker));
+            }
+            None => self.parked.push(worker),
+        }
+    }
 }
 
 /// A submitted sweep job: the client's connection plus the argv tail it
@@ -141,10 +123,10 @@ impl JobConn {
 
 /// The daemon's front door: binds the listen address, accepts and
 /// classifies connections (worker registrations vs job submissions), and
-/// parks workers until a [`RemoteExec`] drives them.
+/// parks workers until a [`RemoteExec`] runs a job on them.
 pub struct Gateway {
     addr: SocketAddr,
-    workers_rx: Mutex<Receiver<WorkerConn>>,
+    door: Arc<Mutex<Door>>,
     jobs_rx: Mutex<Receiver<JobConn>>,
 }
 
@@ -162,13 +144,14 @@ impl Gateway {
     pub fn bind(listen: &str, token: &str) -> io::Result<Gateway> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let (workers_tx, workers_rx) = channel();
+        let door = Arc::new(Mutex::new(Door::default()));
         let (jobs_tx, jobs_rx) = channel();
         let token = token.to_string();
-        std::thread::spawn(move || accept_loop(listener, token, workers_tx, jobs_tx));
+        let workers = Arc::clone(&door);
+        std::thread::spawn(move || accept_loop(listener, token, workers, jobs_tx));
         Ok(Gateway {
             addr,
-            workers_rx: Mutex::new(workers_rx),
+            door,
             jobs_rx: Mutex::new(jobs_rx),
         })
     }
@@ -185,19 +168,15 @@ impl Gateway {
         rx.recv().ok()
     }
 
-    fn next_worker(&self, timeout: Duration) -> Result<WorkerConn, RecvTimeoutError> {
-        let rx = self
-            .workers_rx
-            .lock()
-            .map_err(|_| RecvTimeoutError::Disconnected)?;
-        rx.recv_timeout(timeout)
+    fn door(&self) -> MutexGuard<'_, Door> {
+        self.door.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
 fn accept_loop(
     listener: TcpListener,
     token: String,
-    workers: Sender<WorkerConn>,
+    workers: Arc<Mutex<Door>>,
     jobs: Sender<JobConn>,
 ) {
     loop {
@@ -205,7 +184,7 @@ fn accept_loop(
             return;
         };
         let token = token.clone();
-        let workers = workers.clone();
+        let workers = Arc::clone(&workers);
         let jobs = jobs.clone();
         std::thread::spawn(move || classify(stream, &token, &workers, &jobs));
     }
@@ -214,12 +193,7 @@ fn accept_loop(
 /// Reads one identification frame and routes the connection; anything
 /// malformed, mis-tokened or mis-versioned gets a `reject` frame and is
 /// dropped.
-fn classify(
-    stream: TcpStream,
-    token: &str,
-    workers: &Sender<WorkerConn>,
-    jobs: &Sender<JobConn>,
-) {
+fn classify(stream: TcpStream, token: &str, workers: &Mutex<Door>, jobs: &Sender<JobConn>) {
     let mut t = TcpTransport::new(stream);
     if t.set_read_deadline(Some(HANDSHAKE_DEADLINE)).is_err() {
         return;
@@ -251,10 +225,10 @@ fn classify(
             return;
         }
         let resume = (resume != "-").then(|| resume.to_string());
-        let _ = workers.send(WorkerConn {
-            transport: t,
-            resume,
-        });
+        workers
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .admit(Worker::new(t, resume));
     } else if let Some(body) = text.strip_prefix("sweep ") {
         let (offered, argv_text) = match body.split_once('\n') {
             Some((head, tail)) => (head.trim(), tail),
@@ -276,27 +250,18 @@ fn classify(
 }
 
 // ---------------------------------------------------------------------------
-// RemoteExec: driving registered workers through one sweep
+// RemoteExec: the registered workers as one sweep's fleet
 // ---------------------------------------------------------------------------
 
-/// Executes one sweep's pending grid points across the gateway's
-/// registered remote workers, with the robustness model described in the
-/// module docs. Attach to a [`crate::SweepSupervisor`] via
-/// [`remote`](crate::SweepSupervisor::remote).
+/// The fleet of one sweep job: the workers registered at the gateway,
+/// driven by the shared scheduler ([`crate::workers`]), with in-process
+/// execution after [`ExecTuning::grace`] without any. Attach to a
+/// [`crate::SweepSupervisor`] via [`remote`](crate::SweepSupervisor::remote).
+#[derive(Debug)]
 pub struct RemoteExec {
     gateway: Arc<Gateway>,
     argv: Vec<String>,
     tuning: ExecTuning,
-}
-
-impl fmt::Debug for RemoteExec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RemoteExec")
-            .field("gateway", &self.gateway)
-            .field("argv", &self.argv)
-            .field("tuning", &self.tuning)
-            .finish()
-    }
 }
 
 impl RemoteExec {
@@ -310,367 +275,49 @@ impl RemoteExec {
             tuning,
         }
     }
-
-    /// Runs every point across the registered workers (and, under total
-    /// worker loss, in-process); outcomes come back in point order with
-    /// the control plane's robustness counters. Semantics mirror
-    /// [`crate::workers::WorkerPool::run_points`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_points<F, G>(
-        &self,
-        digest: &str,
-        specs: &[PointSpec],
-        budget: RunBudget,
-        policy: FailurePolicy,
-        retries: u32,
-        fallback: G,
-        on_done: F,
-    ) -> (Vec<PointOutcome<ScenarioReport>>, RobustnessCounters)
-    where
-        F: Fn(usize, &ScenarioReport) -> Result<(), RunError> + Sync,
-        G: Fn(usize, &RunBudget) -> Result<ScenarioReport, RunError> + Sync,
-    {
-        let ctx = RunCtx {
-            digest,
-            argv: &self.argv,
-            specs,
-            budget,
-            policy,
-            retries,
-            liveness: self.tuning.liveness,
-            next: AtomicUsize::new(0),
-            requeued: Mutex::new(Vec::new()),
-            attempts: specs.iter().map(|_| AtomicU32::new(0)).collect(),
-            slots: Mutex::new((0..specs.len()).map(|_| None).collect()),
-            resolved: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            live_workers: AtomicUsize::new(0),
-            counters: SharedCounters::default(),
-            on_done,
-            fallback,
-        };
-
-        std::thread::scope(|scope| {
-            let mut zero_since = Some(Instant::now());
-            while ctx.resolved.load(Ordering::SeqCst) < specs.len() {
-                match self.gateway.next_worker(Duration::from_millis(50)) {
-                    Ok(conn) => {
-                        ctx.live_workers.fetch_add(1, Ordering::SeqCst);
-                        zero_since = None;
-                        let ctx = &ctx;
-                        scope.spawn(move || {
-                            drive_worker(conn, ctx);
-                            ctx.live_workers.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // The gateway accept loop died: no worker will
-                        // ever arrive again. Finish in-process.
-                        while let Some(j) = ctx.claim() {
-                            ctx.run_local(j);
-                        }
-                        ctx.skip_unclaimed_on_abort();
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        if ctx.live_workers.load(Ordering::SeqCst) == 0 {
-                            let since = *zero_since.get_or_insert_with(Instant::now);
-                            if since.elapsed() >= self.tuning.grace {
-                                // Graceful degradation: no remote worker
-                                // for a full grace period — compute one
-                                // claim in-process, then re-check the
-                                // door so a late worker can still rejoin.
-                                if let Some(j) = ctx.claim() {
-                                    ctx.run_local(j);
-                                }
-                            }
-                        } else {
-                            zero_since = None;
-                        }
-                        ctx.skip_unclaimed_on_abort();
-                    }
-                }
-            }
-        });
-
-        let outcomes = ctx
-            .slots
-            .lock()
-            .map(|mut slots| {
-                slots
-                    .iter_mut()
-                    .map(|slot| match slot.take() {
-                        Some(outcome) => outcome,
-                        None => PointOutcome::Failed(RunError::Panicked {
-                            message: "remote driver lost a point slot".to_string(),
-                        }),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        (outcomes, ctx.counters.snapshot())
-    }
 }
 
-/// Shared state of one remote run: the claim pool, resolve-once slots,
-/// per-point attempt counts and robustness counters.
-struct RunCtx<'a, F, G> {
-    digest: &'a str,
-    argv: &'a [String],
-    specs: &'a [PointSpec],
-    budget: RunBudget,
-    policy: FailurePolicy,
-    retries: u32,
-    liveness: Duration,
-    next: AtomicUsize,
-    requeued: Mutex<Vec<usize>>,
-    attempts: Vec<AtomicU32>,
-    slots: Mutex<Vec<Option<PointOutcome<ScenarioReport>>>>,
-    resolved: AtomicUsize,
-    abort: AtomicBool,
-    live_workers: AtomicUsize,
-    counters: SharedCounters,
-    on_done: F,
-    fallback: G,
-}
-
-impl<F, G> RunCtx<'_, F, G>
-where
-    F: Fn(usize, &ScenarioReport) -> Result<(), RunError> + Sync,
-    G: Fn(usize, &RunBudget) -> Result<ScenarioReport, RunError> + Sync,
-{
-    /// Claims the next unowned point: requeued points first, then the
-    /// shared counter. `None` once the pool is drained (or aborted).
-    fn claim(&self) -> Option<usize> {
-        if self.abort.load(Ordering::SeqCst) {
-            return None;
+impl Fleet for RemoteExec {
+    fn open(&self, events: &Sender<Event>) -> usize {
+        let mut door = self.gateway.door();
+        for worker in door.parked.drain(..) {
+            let _ = events.send(Event::Arrived(worker));
         }
-        if let Ok(mut q) = self.requeued.lock() {
-            if let Some(j) = q.pop() {
-                return Some(j);
-            }
-        }
-        let j = self.next.fetch_add(1, Ordering::SeqCst);
-        (j < self.specs.len()).then_some(j)
+        door.sink = Some(events.clone());
+        0
     }
 
-    /// The point's budget under the doubling retry policy: doubled once
-    /// per recorded attempt, capped at the retry bound.
-    fn budget_for(&self, j: usize) -> RunBudget {
-        let attempts = self.attempts[j].load(Ordering::SeqCst).min(self.retries);
-        let mut budget = self.budget;
-        for _ in 0..attempts {
-            budget = budget.doubled();
-        }
-        budget
+    fn spawn(&self) -> Option<Worker> {
+        // A lost remote worker reconnects on its own.
+        None
     }
 
-    /// Puts an in-flight point back into the pool (its worker died, went
-    /// silent, or overran its deadline); after [`MAX_REQUEUES`] the point
-    /// is failed instead so a poisonous point cannot spin forever.
-    fn requeue(&self, j: usize, why: &str) {
-        self.counters.requeued_points.fetch_add(1, Ordering::Relaxed);
-        let n = self.attempts[j].fetch_add(1, Ordering::SeqCst) + 1;
-        if n > MAX_REQUEUES {
-            self.resolve(
-                j,
-                PointOutcome::Failed(RunError::Remote {
-                    kind: "requeue-limit".to_string(),
-                    message: format!(
-                        "point requeued {MAX_REQUEUES} times without completing (last: {why})"
-                    ),
-                }),
-            );
-            return;
-        }
-        if let Ok(mut q) = self.requeued.lock() {
-            q.push(j);
-        }
+    fn tuning(&self) -> ExecTuning {
+        self.tuning
     }
 
-    /// Resolves a point exactly once; late duplicates (a zombie worker
-    /// replying for an already-requeued point) are discarded, which is
-    /// what keeps the journal free of duplicate appends.
-    fn resolve(&self, j: usize, outcome: PointOutcome<ScenarioReport>) {
-        let Ok(mut slots) = self.slots.lock() else {
-            return;
+    /// Registration reply: a reconnecting worker offering the right digest
+    /// resumes without reshipping the config.
+    fn greet(&self, worker: &mut Worker, digest: &str) -> Option<bool> {
+        let resumed = worker.resume.as_deref() == Some(digest);
+        let greeting = if resumed {
+            format!("resume {digest}")
+        } else {
+            format!("job {digest}\n{}", self.argv.join("\n"))
         };
-        if slots[j].is_some() {
-            return;
-        }
-        let outcome = match outcome {
-            PointOutcome::Done(report) => match (self.on_done)(j, &report) {
-                Ok(()) => PointOutcome::Done(report),
-                Err(e) => PointOutcome::Failed(e),
-            },
-            other => other,
-        };
-        if matches!(outcome, PointOutcome::Failed(_)) && self.policy == FailurePolicy::FailFast {
-            self.abort.store(true, Ordering::SeqCst);
-        }
-        slots[j] = Some(outcome);
-        self.resolved.fetch_add(1, Ordering::SeqCst);
+        let t = &mut worker.link;
+        // A config parse failure, digest mismatch or death during setup
+        // leaves nothing in flight.
+        let ready = t.send_text(&greeting).is_ok()
+            && t.set_read_deadline(Some(self.tuning.liveness)).is_ok()
+            && matches!(t.recv_text(), Ok(Some(text)) if text == format!("ready {digest}"));
+        ready.then_some(resumed)
     }
 
-    /// Handles a worker's terminal reply for a point.
-    fn finish_remote(&self, j: usize, reply: Reply) -> RemoteStep {
-        match reply {
-            Reply::Done(report) => {
-                self.resolve(j, PointOutcome::Done(*report));
-                RemoteStep::Continue
-            }
-            Reply::Fail { kind, message } => {
-                if kind == "budget-exceeded"
-                    && self.attempts[j].load(Ordering::SeqCst) < self.retries
-                {
-                    self.attempts[j].fetch_add(1, Ordering::SeqCst);
-                    if let Ok(mut q) = self.requeued.lock() {
-                        q.push(j);
-                    }
-                } else {
-                    self.resolve(j, PointOutcome::Failed(RunError::Remote { kind, message }));
-                }
-                RemoteStep::Continue
-            }
-        }
-    }
-
-    /// Computes one claimed point in-process (graceful degradation),
-    /// honoring the budget-doubling retry policy.
-    fn run_local(&self, j: usize) {
-        let budget = self.budget_for(j);
-        match (self.fallback)(j, &budget) {
-            Ok(report) => self.resolve(j, PointOutcome::Done(report)),
-            Err(e) => {
-                if e.kind() == "budget-exceeded"
-                    && self.attempts[j].load(Ordering::SeqCst) < self.retries
-                {
-                    self.attempts[j].fetch_add(1, Ordering::SeqCst);
-                    if let Ok(mut q) = self.requeued.lock() {
-                        q.push(j);
-                    }
-                } else {
-                    self.resolve(j, PointOutcome::Failed(e));
-                }
-            }
-        }
-    }
-
-    /// After a fail-fast abort, resolve everything still unclaimed as
-    /// skipped (claims return `None` once aborted, so nothing else will
-    /// ever pick these up).
-    fn skip_unclaimed_on_abort(&self) {
-        if !self.abort.load(Ordering::SeqCst) {
-            return;
-        }
-        loop {
-            let j = {
-                let Ok(mut q) = self.requeued.lock() else { return };
-                match q.pop() {
-                    Some(j) => j,
-                    None => {
-                        let j = self.next.fetch_add(1, Ordering::SeqCst);
-                        if j >= self.specs.len() {
-                            return;
-                        }
-                        j
-                    }
-                }
-            };
-            self.resolve(j, PointOutcome::Skipped);
-        }
-    }
-}
-
-enum RemoteStep {
-    Continue,
-}
-
-/// Drives one registered worker through the claim pool until the pool is
-/// drained, the worker dies, or it goes silent past the liveness
-/// deadline. Every exit path either resolves or requeues the in-flight
-/// point — nothing is lost.
-fn drive_worker<F, G>(mut conn: WorkerConn, ctx: &RunCtx<'_, F, G>)
-where
-    F: Fn(usize, &ScenarioReport) -> Result<(), RunError> + Sync,
-    G: Fn(usize, &RunBudget) -> Result<ScenarioReport, RunError> + Sync,
-{
-    let t = &mut conn.transport;
-    // Registration reply: a reconnecting worker offering the right digest
-    // resumes without reshipping the config.
-    let resumed = conn.resume.as_deref() == Some(ctx.digest);
-    let greeting = if resumed {
-        ctx.counters.backoff_retries.fetch_add(1, Ordering::Relaxed);
-        format!("resume {}", ctx.digest)
-    } else {
-        format!("job {}\n{}", ctx.digest, ctx.argv.join("\n"))
-    };
-    if t.send_text(&greeting).is_err() || t.set_read_deadline(Some(ctx.liveness)).is_err() {
-        ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    match t.recv_text() {
-        Ok(Some(text)) if text == format!("ready {}", ctx.digest) => {}
-        _ => {
-            // Config parse failure, digest mismatch or death during
-            // setup: nothing in flight, nothing to requeue.
-            ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    loop {
-        let Some(j) = ctx.claim() else {
-            let _ = t.send_text("shutdown");
-            return;
-        };
-        let budget = ctx.budget_for(j);
-        if t.send_text(&point_frame(j, &ctx.specs[j], &budget)).is_err() {
-            ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            ctx.requeue(j, "send failed");
-            return;
-        }
-        // The hung-simulation deadline: the budget's wall limit plus
-        // headroom for retry doubling and shipping. A worker may
-        // heartbeat forever; it may not *compute* forever.
-        let started = Instant::now();
-        let hang_deadline = budget.max_wall.map(|w| w * 2 + ctx.liveness);
-        loop {
-            match t.recv() {
-                Ok(Some(frame)) if frame == HEARTBEAT_PAYLOAD => {
-                    if hang_deadline.is_some_and(|d| started.elapsed() > d) {
-                        ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                        ctx.requeue(j, "hung past its wall-clock deadline");
-                        return;
-                    }
-                }
-                Ok(Some(frame)) => {
-                    let reply = String::from_utf8(frame).ok().and_then(|s| parse_reply(&s));
-                    match reply {
-                        Some((echoed, reply)) if echoed == j => {
-                            let RemoteStep::Continue = ctx.finish_remote(j, reply);
-                            break;
-                        }
-                        _ => {
-                            ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                            ctx.requeue(j, "malformed reply");
-                            return;
-                        }
-                    }
-                }
-                Ok(None) => {
-                    ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    ctx.requeue(j, "worker disconnected mid-point");
-                    return;
-                }
-                Err(e) => {
-                    if e.is_timeout() {
-                        ctx.counters.heartbeat_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ctx.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    ctx.requeue(j, &e.to_string());
-                    return;
-                }
-            }
-        }
+    fn close(&self, unused: &mut dyn Iterator<Item = Worker>) {
+        let mut door = self.gateway.door();
+        door.sink = None;
+        door.parked.extend(unused);
     }
 }
 
@@ -739,18 +386,9 @@ fn backoff_delay(opts: &WorkerOptions, failures: u32) -> Duration {
     exp.mul_f64(0.5 + jitter_frac() / 2.0)
 }
 
-enum SessionEnd {
-    /// Clean shutdown: the daemon drained the pool (or closed down).
-    Done,
-    /// The connection broke; reconnect with backoff and a resume offer.
-    Lost,
-    /// Registration was rejected; do not retry.
-    Rejected(String),
-}
-
 /// The body of `tcpburst worker --connect ADDR`: dials the daemon,
 /// registers under the shared token, and serves grid points — computing
-/// each in a helper thread while heartbeating the connection — until a
+/// them on a helper thread while heartbeating the connection — until a
 /// clean shutdown. A lost connection reconnects with exponential backoff
 /// and jitter, offering the held job digest so the daemon can `resume` the
 /// session without reshipping the config. Returns the process exit code.
@@ -767,7 +405,7 @@ pub fn remote_worker_main(
     loop {
         let end = match connect(opts) {
             Ok(transport) => {
-                let end = run_session(transport, opts, parse, &mut held);
+                let end = with_chaos(transport, |t| session_loop(t, opts, parse, &mut held));
                 if matches!(end, SessionEnd::Lost) {
                     // Only a *connected* session resets the failure count;
                     // a session that dies immediately keeps backing off.
@@ -812,23 +450,8 @@ fn connect(opts: &WorkerOptions) -> io::Result<TcpTransport> {
     Ok(TcpTransport::new(stream).with_peer(format!("daemon {}", opts.connect)))
 }
 
-fn run_session(
-    transport: TcpTransport,
-    opts: &WorkerOptions,
-    parse: &dyn Fn(&[String]) -> Result<ScenarioConfig, String>,
-    held: &mut Option<(String, ScenarioConfig)>,
-) -> SessionEnd {
-    match ChaosSchedule::from_env() {
-        Some(events) => session_loop(&mut ChaosTransport::new(transport, events), opts, parse, held),
-        None => {
-            let mut transport = transport;
-            session_loop(&mut transport, opts, parse, held)
-        }
-    }
-}
-
-fn session_loop<T: FrameTransport>(
-    t: &mut T,
+fn session_loop(
+    t: &mut dyn FrameTransport,
     opts: &WorkerOptions,
     parse: &dyn Fn(&[String]) -> Result<ScenarioConfig, String>,
     held: &mut Option<(String, ScenarioConfig)>,
@@ -883,62 +506,7 @@ fn session_loop<T: FrameTransport>(
     if t.send_text(&format!("ready {digest}")).is_err() {
         return SessionEnd::Lost;
     }
-    serve_points(t, &cfg, opts)
-}
-
-/// Serves point frames until `shutdown`/EOF: each point computes in a
-/// helper thread while the session thread heartbeats the daemon, so a
-/// long simulation never looks like a dead worker.
-fn serve_points<T: FrameTransport>(
-    t: &mut T,
-    cfg: &ScenarioConfig,
-    opts: &WorkerOptions,
-) -> SessionEnd {
-    let crash_at: Option<usize> = std::env::var(crate::workers::CRASH_AT_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok());
-    // Between points the daemon should answer promptly; a long silence
-    // here means it died. Generous deadline — claim scheduling is fast.
-    let idle_deadline = opts.heartbeat.max(Duration::from_millis(100)) * 100;
-    loop {
-        if t.set_read_deadline(Some(idle_deadline)).is_err() {
-            return SessionEnd::Lost;
-        }
-        let text = match t.recv_text() {
-            Ok(Some(text)) => text,
-            Ok(None) => return SessionEnd::Done,
-            Err(_) => return SessionEnd::Lost,
-        };
-        if text == "shutdown" {
-            return SessionEnd::Done;
-        }
-        let (tx, rx) = channel();
-        let cfg = *cfg;
-        let frame = text.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(crate::workers::handle_point(&cfg, &frame, crash_at));
-        });
-        loop {
-            match rx.recv_timeout(opts.heartbeat) {
-                Ok(Some(reply)) => {
-                    if t.send_text(&reply).is_err() {
-                        // The daemon requeued this point elsewhere (or
-                        // died); reconnect and let the resolve-once slot
-                        // discard any duplicate.
-                        return SessionEnd::Lost;
-                    }
-                    break;
-                }
-                Ok(None) => return SessionEnd::Lost,
-                Err(RecvTimeoutError::Timeout) => {
-                    if t.send(HEARTBEAT_PAYLOAD).is_err() {
-                        return SessionEnd::Lost;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return SessionEnd::Lost,
-            }
-        }
-    }
+    serve_points(t, &cfg, Some(opts.heartbeat))
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,9 +617,13 @@ mod tests {
         worker
             .send_text(&format!("worker tok {ENGINE_SCHEMA_VERSION} abc123"))
             .expect("send");
-        let conn = gateway
-            .next_worker(Duration::from_secs(5))
-            .expect("worker routed");
-        assert_eq!(conn.resume.as_deref(), Some("abc123"));
+        // A running job's fleet receives the registration.
+        let exec = RemoteExec::new(Arc::clone(&gateway), Vec::new(), ExecTuning::default());
+        let (events, arrivals) = channel();
+        assert_eq!(exec.open(&events), 0);
+        match arrivals.recv_timeout(Duration::from_secs(5)) {
+            Ok(Event::Arrived(worker)) => assert_eq!(worker.resume.as_deref(), Some("abc123")),
+            _ => panic!("worker not routed"),
+        }
     }
 }

@@ -29,9 +29,10 @@
 //! * [`store`] — the content-addressed result store: a finished grid
 //!   point is persisted under a digest of its full configuration and is
 //!   never recomputed,
-//! * [`workers`] — multi-process sweep execution: grid points spread
-//!   across crash-isolated worker processes, byte-identical to the
-//!   in-process run.
+//! * [`workers`] — multi-process sweep execution: one scheduler spreads
+//!   grid points across crash-isolated worker processes, local
+//!   (`--workers`) or registered with the [`daemon`], byte-identical to
+//!   the in-process run.
 //!
 //! Scenarios are assembled with the staged [`ScenarioBuilder`]
 //! (topology → workload → transport → impairments → instrumentation);
@@ -97,9 +98,7 @@ pub use config::{
     TransportKind,
 };
 pub use event::{Event, ImpairEvent};
-pub use parallel::{
-    available_jobs, run_indexed, run_indexed_partial, run_indexed_partial_with, PartialResults,
-};
+pub use parallel::{available_jobs, run_indexed, run_indexed_partial, PartialResults};
 pub use profile::{DispatchProfile, EventClassStats, TimerReport};
 pub use replicate::{ReplicatedCell, ReplicatedSweep};
 pub use report::{FlowReport, HopSeries, ImpairmentReport, ScenarioReport};
@@ -114,6 +113,6 @@ pub use supervise::{
     SweepPoint, SweepSupervisor,
 };
 pub use trace::{EventLog, TraceEvent, TraceKind};
-pub use workers::{worker_main, PointSpec, RobustnessCounters, WorkerCommand, WorkerPool};
+pub use workers::{worker_main, PointSpec, RobustnessCounters, WorkerCommand};
 
 pub use tcpburst_net::Impairments;

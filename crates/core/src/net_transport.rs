@@ -1,14 +1,14 @@
 //! Transport-agnostic, checksummed frame protocol for the sweep control
 //! plane.
 //!
-//! The worker-process pool ([`crate::workers`]) and the distributed sweep
+//! Local worker processes ([`crate::workers`]) and the distributed sweep
 //! daemon ([`crate::daemon`]) speak the same protocol: text payloads in
 //! length-prefixed, checksummed binary frames. This module owns that layer
 //! once — [`FrameTransport`] abstracts *where* the bytes go, with two
 //! implementations:
 //!
 //! * [`PipeTransport`] — the stdin/stdout pipes of a local worker process
-//!   (the original `--workers N` path);
+//!   (the `--workers N` path);
 //! * [`TcpTransport`] — a socket to a remote worker or daemon, with read
 //!   deadlines so a silent peer is detected instead of hanging the sweep.
 //!
@@ -306,8 +306,8 @@ pub trait FrameTransport {
 
 /// The frame protocol over a pair of byte streams — the stdin/stdout pipes
 /// between the sweep driver and a local worker process. Read deadlines are
-/// not supported (anonymous pipes have no timeout mechanism); the pipe
-/// pool relies on process supervision instead.
+/// not supported (anonymous pipes have no timeout mechanism); local
+/// workers rely on process supervision instead.
 pub struct PipeTransport<R: Read, W: Write> {
     reader: R,
     writer: W,

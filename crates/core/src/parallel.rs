@@ -64,37 +64,12 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_partial_with(jobs, tasks, || (), |(), index| run(index))
-}
-
-/// Like [`run_indexed_partial`], but each worker thread owns a mutable
-/// state value built by `init` when the thread starts and passed to every
-/// task it claims. This is how the multi-process sweep pool
-/// ([`crate::workers`]) gives each driver thread a persistent child
-/// process: the state survives across the indices that thread steals.
-///
-/// On the serial path (`jobs <= 1`) a single state serves every task. A
-/// panicking task poisons nothing: the state stays with its thread and the
-/// next claimed index reuses it (a driver that wants a fresh resource
-/// after a failure resets its own state).
-pub fn run_indexed_partial_with<S, T, I, F>(
-    jobs: usize,
-    tasks: usize,
-    init: I,
-    run: F,
-) -> PartialResults<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     let jobs = effective_jobs(jobs, tasks);
     if jobs <= 1 {
-        let mut state = init();
         let mut results = Vec::with_capacity(tasks);
         let mut panics = Vec::new();
         for index in 0..tasks {
-            match catch_unwind(AssertUnwindSafe(|| run(&mut state, index))) {
+            match catch_unwind(AssertUnwindSafe(|| run(index))) {
                 Ok(value) => results.push(Some(value)),
                 Err(payload) => {
                     results.push(None);
@@ -118,9 +93,7 @@ where
             let tx = tx.clone();
             let next = &next;
             let run = &run;
-            let init = &init;
             scope.spawn(move || {
-                let mut state = init();
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
                     if index >= tasks {
@@ -129,7 +102,7 @@ where
                     // The receiver outlives every worker; send cannot fail.
                     let _ = tx.send((
                         index,
-                        catch_unwind(AssertUnwindSafe(|| run(&mut state, index))),
+                        catch_unwind(AssertUnwindSafe(|| run(index))),
                     ));
                 }
             });
@@ -256,41 +229,6 @@ mod tests {
                     assert_eq!(partial.results[i], Some(i * 2), "jobs={jobs}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn per_worker_state_persists_across_claimed_tasks() {
-        use std::sync::atomic::AtomicUsize;
-        for jobs in [1usize, 2, 4] {
-            let states = AtomicUsize::new(0);
-            let partial = run_indexed_partial_with(
-                jobs,
-                32,
-                || {
-                    states.fetch_add(1, Ordering::SeqCst);
-                    0usize
-                },
-                |claimed, i| {
-                    *claimed += 1;
-                    (i, *claimed)
-                },
-            );
-            // One state per worker thread, never one per task.
-            assert!(states.load(Ordering::SeqCst) <= jobs, "jobs={jobs}");
-            // Every task saw a state that had served all of that worker's
-            // earlier claims; total claims across workers is the task count.
-            let total: usize = (0..32)
-                .filter(|&i| {
-                    partial.results[i]
-                        .map(|(idx, claimed)| {
-                            assert_eq!(idx, i);
-                            claimed >= 1
-                        })
-                        .unwrap_or(false)
-                })
-                .count();
-            assert_eq!(total, 32, "jobs={jobs}");
         }
     }
 

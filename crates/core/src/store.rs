@@ -3,7 +3,7 @@
 //! Every completed scenario run is identified by a SHA-256 digest of its
 //! *full* configuration plus the engine schema version
 //! ([`ENGINE_SCHEMA_VERSION`]), and its [`ScenarioReport`] is persisted
-//! under that digest via the exact [`codec`](crate::codec). Any sweep,
+//! under that digest via the exact [`codec`]. Any sweep,
 //! `replicate` run, or example that has ever completed a point loads the
 //! report from disk instead of simulating — and because the codec
 //! round-trips every field bit-for-bit, cached and fresh results are

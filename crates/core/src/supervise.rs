@@ -38,9 +38,9 @@
 //!
 //! Two further layers compose with supervision (both opt-in):
 //! a content-addressed [result store](crate::store) resolves already-
-//! computed points without simulating, and a [worker-process
-//! pool](crate::workers) runs fresh points in crash-isolated child
-//! processes.
+//! computed points without simulating, and a [worker
+//! fleet](crate::workers) runs fresh points in crash-isolated worker
+//! processes, local or remote.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -60,7 +60,8 @@ use crate::report::ScenarioReport;
 use crate::scenario::Scenario;
 use crate::store::{self, Digest, ResultStore, ENGINE_SCHEMA_VERSION};
 use crate::daemon::RemoteExec;
-use crate::workers::{PointSpec, RobustnessCounters, WorkerCommand, WorkerPool};
+use crate::parallel::effective_jobs;
+use crate::workers::{self, Fleet, LocalFleet, PointSpec, RobustnessCounters, WorkerCommand};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -246,12 +247,11 @@ pub enum RunError {
     },
     /// A worker *process* reported a failure. The rich diagnostic payloads
     /// (partial reports, violation structures) stay in the worker; only the
-    /// original error's kind tag and rendered message cross the pipe. The
-    /// kind `worker-died` means the child process itself crashed (segfault,
-    /// OOM kill, abort) while holding this point.
+    /// original error's kind tag and rendered message cross the wire. A
+    /// worker that dies (segfault, OOM kill, abort) fails no point: its
+    /// point is requeued, and computed in-process if workers keep dying.
     Remote {
-        /// The original [`RunError::kind`] tag inside the worker, or
-        /// `worker-died`.
+        /// The original [`RunError::kind`] tag inside the worker.
         kind: String,
         /// The rendered error message.
         message: String,
@@ -1086,8 +1086,8 @@ impl SweepSupervisor {
             slots[i] = Some(report);
         }
 
-        // Phase 2: dispatch what remains — worker processes when configured
-        // and worthwhile, the in-process thread pool otherwise.
+        // Phase 2: dispatch what remains — to a worker fleet when one is
+        // configured and worthwhile, the in-process thread pool otherwise.
         let pending: Vec<usize> = (0..grid.len())
             .filter(|i| slots[*i].is_none() && !fail_map.contains_key(i))
             .collect();
@@ -1109,52 +1109,43 @@ impl SweepSupervisor {
             }
             Ok(())
         };
-        // Trace payloads cannot cross the worker codec, so remote/process
-        // dispatch is only eligible for plain report sweeps.
+        // Trace payloads cannot cross the worker codec, so worker fleets
+        // only run plain report sweeps; the daemon's fleet takes priority
+        // over local worker processes.
         let shippable = !self.base.trace_cwnd && !self.base.trace_events;
-        let use_remote = self.remote.is_some() && !pending.is_empty() && shippable;
-        let use_workers =
-            self.workers != 1 && pending.len() > 1 && self.worker_command.is_some() && shippable;
-        let specs: Vec<PointSpec> = pending
-            .iter()
-            .map(|&i| PointSpec {
-                protocol: grid[i].0,
-                clients: grid[i].1,
-                seed,
-            })
-            .collect();
-        // Graceful degradation path shared by both distributed engines:
-        // compute one pending point in-process under the given budget.
-        let fallback =
-            |j: usize, budget: &RunBudget| run_point(&cfgs[pending[j]], budget);
-        let (outcomes, robustness): (Vec<PointOutcome<ScenarioReport>>, RobustnessCounters) =
-            if use_remote {
-                let remote = self
-                    .remote
-                    .as_ref()
-                    .expect("use_remote checked remote.is_some()");
-                remote.run_points(
+        let local = self
+            .worker_command
+            .clone()
+            .filter(|_| self.workers != 1 && pending.len() > 1)
+            .map(|command| LocalFleet {
+                command,
+                workers: effective_jobs(self.workers, pending.len()),
+            });
+        let fleet = match &self.remote {
+            Some(remote) => Some(&**remote as &dyn Fleet),
+            None => local.as_ref().map(|local| local as &dyn Fleet),
+        }
+        .filter(|_| shippable && !pending.is_empty());
+        let (outcomes, robustness) = match fleet {
+            Some(fleet) => {
+                let specs: Vec<PointSpec> = pending
+                    .iter()
+                    .map(|&i| PointSpec {
+                        protocol: grid[i].0,
+                        clients: grid[i].1,
+                        seed,
+                    })
+                    .collect();
+                workers::run_points(
+                    fleet,
+                    &self.supervisor,
                     &self.digest().hex(),
                     &specs,
-                    self.supervisor.budget,
-                    self.supervisor.policy,
-                    self.supervisor.retries,
-                    fallback,
+                    |j, budget| run_point(&cfgs[pending[j]], budget),
                     |j, report| complete(pending[j], report),
                 )
-            } else if use_workers {
-                let pool = WorkerPool {
-                    command: self
-                        .worker_command
-                        .clone()
-                        .expect("use_workers checked worker_command.is_some()"),
-                    workers: self.workers,
-                    policy: self.supervisor.policy,
-                    budget: self.supervisor.budget,
-                    retries: self.supervisor.retries,
-                };
-                pool.run_points(&specs, fallback, |j, report| complete(pending[j], report))
-            } else {
+            }
+            None => {
                 let outcomes = self.supervisor.run_grid(pending.len(), |j, budget| {
                     let i = pending[j];
                     let report = run_point(&cfgs[i], budget)?;
@@ -1162,7 +1153,8 @@ impl SweepSupervisor {
                     Ok(report)
                 });
                 (outcomes, RobustnessCounters::default())
-            };
+            }
+        };
 
         // Phase 3: merge everything back in canonical grid order.
         let completed_points = outcomes

@@ -1,34 +1,65 @@
-//! Multi-process sweep execution: grid points spread across worker
-//! *processes* with work-stealing and per-worker crash isolation.
+//! Sweep execution on worker processes, and the one scheduler that drives
+//! every worker fleet.
 //!
 //! Thread-level fan-out ([`crate::parallel`]) shares one address space: a
 //! segfault, allocator corruption or OOM kill in any grid point takes the
-//! whole sweep down. This module moves the blast radius to a child
-//! process: the supervisor spawns `N` copies of the harness binary running
-//! the hidden `tcpburst worker` subcommand, feeds them grid points over the
-//! checksummed frame protocol ([`crate::net_transport`]), and work-steals
-//! from the shared queue exactly like the thread pool (each driver thread
-//! claims the next unclaimed index and forwards it to its private child).
+//! whole sweep down. This module moves the blast radius to worker
+//! processes. A *fleet* is a source of worker connections:
 //!
-//! A worker that dies loses *nothing*: its in-flight point is requeued
-//! onto a fresh worker (up to a bounded respawn count), and if workers
-//! keep dying on that point the driver degrades gracefully and computes
-//! it in-process — zero lost grid points, counted in
-//! [`RobustnessCounters`].
+//! * `--workers N` spawns `N` copies of the harness binary running the
+//!   hidden `tcpburst worker` subcommand and talks to each over its
+//!   stdin/stdout pipes;
+//! * the sweep daemon ([`crate::daemon`]) hands over the
+//!   `tcpburst worker --connect` processes that registered with it over
+//!   TCP.
+//!
+//! Both fleets feed one claim pool (`run_points`). Each worker gets a
+//! thread of its own that claims the next unclaimed point (requeued points
+//! first), ships it and waits for the reply, so the pool work-steals like
+//! the thread pool. The sweep's own thread blocks on one channel that
+//! carries worker arrivals, worker exits and point resolutions; nothing
+//! polls.
+//!
+//! ## Robustness model
+//!
+//! Every failure has a bounded recovery, counted in
+//! [`RobustnessCounters`]:
+//!
+//! * **Dead worker.** EOF, a frame error (truncation, checksum, injected
+//!   chaos) or a malformed reply puts the in-flight point back in the pool
+//!   (`requeued_points`) and ends the connection (`worker_restarts`). A
+//!   dead local child is respawned while unclaimed points remain.
+//! * **Poisonous point.** A point whose workers die more than
+//!   `CRASH_RETRIES` (2) times is computed in-process instead, so it is
+//!   never lost.
+//! * **Silent worker.** TCP workers heartbeat (`hb` frames) while they
+//!   compute. A read deadline that passes with neither a reply nor a
+//!   heartbeat is a death (`heartbeat_misses`), and so is heartbeating
+//!   past twice the point's wall-clock budget.
+//! * **Budget overrun.** A `budget-exceeded` reply is retried with a
+//!   doubled budget up to [`Supervisor::retries`] times. Worker deaths are
+//!   counted separately and never double the budget.
+//! * **No workers.** A local fleet that cannot spawn any child computes
+//!   in-process at once. The daemon first waits its grace period
+//!   ([`ExecTuning::grace`]), then computes in-process one point at a
+//!   time, so a late worker can still take over.
+//!
+//! A point is resolved exactly once: a late duplicate reply for a point
+//! that is already resolved is discarded, so the journal never sees a
+//! duplicate append.
 //!
 //! ## Protocol
 //!
 //! Frames are the [`crate::net_transport`] wire format (length prefix +
-//! SHA-256-derived checksum + UTF-8 payload). On startup the worker sends
-//! `ready <schema-version>`; a schema mismatch (parent and worker built
-//! from different engine versions) aborts the handshake. The parent then
+//! SHA-256-derived checksum + UTF-8 payload). A pipe worker's first frame
+//! is `ready <schema-version>`; a schema mismatch (parent and worker built
+//! from different engine versions) aborts the handshake. The sweep then
 //! sends one `point <index> <protocol> <clients> <seed> <sim|-> <events|->
 //! <wall|->` frame per claimed grid point (the trailing triple is the
 //! watchdog budget, `-` = unlimited); the worker replies
 //! `done <index>\n<codec payload>` or `fail <index> <kind>\n<message>`.
-//! EOF on the worker's stdin is the shutdown signal. The same frames ride
-//! a TCP socket in daemon mode ([`crate::daemon`]), where `hb` heartbeat
-//! frames are additionally interleaved.
+//! `shutdown` or EOF ends the session. TCP workers first run the daemon's
+//! registration handshake and interleave `hb` frames.
 //!
 //! The scenario *base configuration* never crosses the pipe: the worker
 //! process re-parses the parent's own CLI argument tail (captured
@@ -38,37 +69,37 @@
 //! ## Determinism
 //!
 //! Replies are decoded by the same exact codec the result store uses, and
-//! results are re-slotted in canonical grid order by the same machinery as
-//! the thread pool — so sweep output is byte-identical at every
-//! `--workers × --jobs` combination, *including* under injected chaos
-//! ([`crate::chaos`]): requeues and fallbacks change only who computes a
-//! point, never its bytes.
+//! results are re-slotted in canonical grid order, so sweep output is
+//! byte-identical at every `--workers × --jobs` combination, *including*
+//! under injected chaos ([`crate::chaos`]): requeues and fallbacks change
+//! only who computes a point, never its bytes.
 
 use std::io::{self, BufReader};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use tcpburst_des::SimDuration;
 
-use crate::chaos::{ChaosSchedule, ChaosTransport, CHAOS_ENV, CHAOS_ID_ENV};
+use crate::chaos::{ChaosSchedule, ChaosTransport, CHAOS_ENV, CHAOS_ID_ENV, HEARTBEAT_PAYLOAD};
 use crate::codec;
 use crate::config::{Protocol, ScenarioConfig};
-use crate::net_transport::{FrameTransport, PipeTransport};
-use crate::parallel::{effective_jobs, run_indexed_partial_with};
+use crate::daemon::ExecTuning;
+use crate::net_transport::{FrameError, FrameTransport, PipeTransport};
 use crate::report::ScenarioReport;
 use crate::store::ENGINE_SCHEMA_VERSION;
-use crate::supervise::{FailurePolicy, PointOutcome, RunBudget, RunError};
+use crate::supervise::{FailurePolicy, PointOutcome, RunBudget, RunError, Supervisor};
 
 /// Environment variable naming a grid-point index at which a worker
 /// process deliberately aborts — the crash-isolation test hook. Unset in
 /// normal operation.
 pub const CRASH_AT_ENV: &str = "TCPBURST_WORKER_CRASH_AT";
 
-/// Fresh-worker respawns attempted for a point whose worker died mid-run
-/// before the driver stops burning processes and computes the point
-/// in-process instead.
+/// Worker deaths a point may cause before the scheduler stops handing it
+/// to workers and computes it in-process instead.
 const CRASH_RETRIES: u32 = 2;
 
 /// Spawn sequence across the whole process, so each worker child gets a
@@ -162,63 +193,126 @@ pub(crate) fn parse_reply(text: &str) -> Option<(usize, Reply)> {
     }
 }
 
-fn protocol_error(peer: &str, what: impl std::fmt::Display) -> RunError {
-    RunError::Remote {
-        kind: "protocol".to_string(),
-        message: format!("{peer}: {what}"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The worker process side
 // ---------------------------------------------------------------------------
 
-/// The body of the hidden `tcpburst worker` subcommand: reads point frames
-/// from stdin, runs each under [`crate::supervise::run_point`], and writes
-/// reply frames to stdout until EOF. Returns the process exit code (0 for
-/// a clean shutdown, 1 on a protocol or pipe error). When `TCPBURST_CHAOS`
-/// names a schedule for this worker, the transport is wrapped in the
+/// The body of the hidden `tcpburst worker` subcommand: sends
+/// `ready <schema>`, then serves point frames from stdin, replying on
+/// stdout, until EOF. Returns the process exit code (0 for a clean
+/// shutdown, 1 on a protocol or pipe error). When `TCPBURST_CHAOS` names a
+/// schedule for this worker, the transport is wrapped in the
 /// fault-injection layer ([`crate::chaos`]).
 ///
 /// `base` is the scenario configuration rebuilt from the parent's CLI
 /// argument tail; each point frame overrides only its protocol, client
 /// count and seed.
 pub fn worker_main(base: &ScenarioConfig) -> i32 {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    let transport = PipeTransport::new(stdin.lock(), stdout.lock(), "driver");
-    match ChaosSchedule::from_env() {
-        Some(events) => worker_loop(&mut ChaosTransport::new(transport, events), base),
-        None => {
-            let mut transport = transport;
-            worker_loop(&mut transport, base)
+    let (stdin, stdout) = (io::stdin(), io::stdout());
+    let pipe = PipeTransport::new(stdin.lock(), stdout.lock(), "sweep");
+    let end = with_chaos(pipe, |t| {
+        match t.send_text(&format!("ready {ENGINE_SCHEMA_VERSION}")) {
+            Ok(()) => serve_points(t, base, None),
+            Err(_) => SessionEnd::Lost,
         }
+    });
+    i32::from(!matches!(end, SessionEnd::Done))
+}
+
+/// Runs a worker `session` on `transport`, wrapped in the fault-injection
+/// layer when `TCPBURST_CHAOS` names a schedule for this worker.
+pub(crate) fn with_chaos<T: FrameTransport>(
+    transport: T,
+    session: impl FnOnce(&mut dyn FrameTransport) -> SessionEnd,
+) -> SessionEnd {
+    match ChaosSchedule::from_env() {
+        Some(events) => session(&mut ChaosTransport::new(transport, events)),
+        None => session(&mut { transport }),
     }
 }
 
-/// The shared request/reply loop: serves `point` frames until EOF. Also
-/// the body of a remote worker once the daemon handshake is done.
-pub(crate) fn worker_loop<T: FrameTransport>(transport: &mut T, base: &ScenarioConfig) -> i32 {
+/// How a worker's session ended.
+pub(crate) enum SessionEnd {
+    /// Clean shutdown: the sweep sent `shutdown` or closed the stream.
+    Done,
+    /// The connection broke or carried a frame that made no sense.
+    Lost,
+    /// Registration was rejected; do not retry.
+    Rejected(String),
+}
+
+/// The worker's request/reply loop, shared by pipe and TCP workers: serves
+/// `point` frames until `shutdown` or EOF. With a `heartbeat` interval the
+/// points compute on one helper thread, spawned once per session, while
+/// this thread sends `hb` frames, so a long simulation never looks like a
+/// dead worker. Without one (pipes, which have no read deadlines) they
+/// compute inline.
+pub(crate) fn serve_points(
+    t: &mut dyn FrameTransport,
+    cfg: &ScenarioConfig,
+    heartbeat: Option<Duration>,
+) -> SessionEnd {
     let crash_at: Option<usize> = std::env::var(CRASH_AT_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
-    if transport
-        .send_text(&format!("ready {ENGINE_SCHEMA_VERSION}"))
-        .is_err()
-    {
-        return 1;
-    }
+    let helper = heartbeat.map(|interval| {
+        let (frames, inbox) = channel::<String>();
+        let (replies_tx, replies) = channel();
+        let cfg = *cfg;
+        // Detached, so a session lost mid-point can reconnect at once; the
+        // helper finishes that point and exits when `frames` drops.
+        std::thread::spawn(move || {
+            for frame in inbox {
+                if replies_tx.send(handle_point(&cfg, &frame, crash_at)).is_err() {
+                    return;
+                }
+            }
+        });
+        (interval, frames, replies)
+    });
     loop {
-        let text = match transport.recv_text() {
+        if let Some((interval, ..)) = helper {
+            // Between points the daemon answers promptly; a long silence
+            // here means it died. Generous: claim scheduling is fast.
+            let idle = interval.max(Duration::from_millis(100)) * 100;
+            if t.set_read_deadline(Some(idle)).is_err() {
+                return SessionEnd::Lost;
+            }
+        }
+        let text = match t.recv_text() {
             Ok(Some(text)) => text,
-            Ok(None) => return 0,
-            Err(_) => return 1,
+            Ok(None) => return SessionEnd::Done,
+            Err(_) => return SessionEnd::Lost,
         };
-        let Some(reply) = handle_point(base, &text, crash_at) else {
-            return 1;
+        if text == "shutdown" {
+            return SessionEnd::Done;
+        }
+        let reply = match &helper {
+            None => handle_point(cfg, &text, crash_at),
+            Some((interval, frames, replies)) => {
+                if frames.send(text).is_err() {
+                    return SessionEnd::Lost;
+                }
+                loop {
+                    match replies.recv_timeout(*interval) {
+                        Ok(reply) => break reply,
+                        Err(RecvTimeoutError::Timeout) => {
+                            if t.send(HEARTBEAT_PAYLOAD).is_err() {
+                                return SessionEnd::Lost;
+                            }
+                        }
+                        Err(RecvTimeoutError::Disconnected) => return SessionEnd::Lost,
+                    }
+                }
+            }
         };
-        if transport.send_text(&reply).is_err() {
-            return 1;
+        // A reply that cannot be sent means the daemon requeued this point
+        // elsewhere (or died); its resolve-once slot discards duplicates.
+        let Some(reply) = reply else {
+            return SessionEnd::Lost;
+        };
+        if t.send_text(&reply).is_err() {
+            return SessionEnd::Lost;
         }
     }
 }
@@ -298,28 +392,8 @@ impl std::fmt::Display for RobustnessCounters {
     }
 }
 
-/// Atomic counterpart shared across driver threads.
-#[derive(Debug, Default)]
-pub(crate) struct SharedCounters {
-    pub(crate) requeued_points: AtomicU64,
-    pub(crate) worker_restarts: AtomicU64,
-    pub(crate) heartbeat_misses: AtomicU64,
-    pub(crate) backoff_retries: AtomicU64,
-}
-
-impl SharedCounters {
-    pub(crate) fn snapshot(&self) -> RobustnessCounters {
-        RobustnessCounters {
-            requeued_points: self.requeued_points.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            heartbeat_misses: self.heartbeat_misses.load(Ordering::Relaxed),
-            backoff_retries: self.backoff_retries.load(Ordering::Relaxed),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The parent (pool) side
+// Workers and fleets
 // ---------------------------------------------------------------------------
 
 /// How to launch one worker process: a program plus its full argument
@@ -355,14 +429,28 @@ pub struct PointSpec {
     pub seed: u64,
 }
 
-/// One live child process with its framed pipe transport.
-struct WorkerProc {
-    child: Child,
-    transport: PipeTransport<BufReader<ChildStdout>, ChildStdin>,
+/// One worker connection the scheduler can drive from its own thread.
+pub(crate) struct Worker {
+    pub(crate) link: Box<dyn FrameTransport + Send>,
+    /// The job digest a reconnecting TCP worker already holds, if any.
+    pub(crate) resume: Option<String>,
+    /// A local child process, killed and reaped with the worker.
+    child: Option<Child>,
 }
 
-impl WorkerProc {
-    fn spawn(command: &WorkerCommand) -> Result<WorkerProc, RunError> {
+impl Worker {
+    pub(crate) fn new(link: impl FrameTransport + Send + 'static, resume: Option<String>) -> Self {
+        Worker {
+            link: Box::new(link),
+            resume,
+            child: None,
+        }
+    }
+
+    /// Spawns a local child and waits for its `ready <schema>` handshake;
+    /// `None` when it cannot start or speaks another engine schema (mixed
+    /// builds).
+    fn spawn(command: &WorkerCommand) -> Option<Worker> {
         let seq = SPAWN_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
         let mut cmd = Command::new(&command.program);
         cmd.args(&command.args)
@@ -373,240 +461,451 @@ impl WorkerProc {
             // can target "the Nth worker ever spawned".
             cmd.env(CHAOS_ID_ENV, format!("w{seq}"));
         }
-        let spawn_err = |e: io::Error| RunError::Io {
-            path: command.program.clone(),
-            message: format!("spawning worker: {e}"),
-        };
-        let mut child = cmd.spawn().map_err(spawn_err)?;
-        let stdin = child
-            .stdin
-            .take()
-            .ok_or_else(|| spawn_err(io::Error::other("worker stdin not piped")))?;
-        let stdout = child
-            .stdout
-            .take()
-            .ok_or_else(|| spawn_err(io::Error::other("worker stdout not piped")))?;
-        let mut this = WorkerProc {
-            child,
-            transport: PipeTransport::new(BufReader::new(stdout), stdin, format!("worker w{seq}")),
-        };
-        this.handshake()?;
-        Ok(this)
-    }
-
-    fn handshake(&mut self) -> Result<(), RunError> {
-        let peer = self.transport.peer().to_string();
-        let text = self
-            .transport
-            .recv_text()
-            .map_err(|e| e.to_run_error())?
-            .ok_or_else(|| protocol_error(&peer, "worker exited before handshake"))?;
-        let schema = text
-            .strip_prefix("ready ")
-            .and_then(|v| v.parse::<u32>().ok())
-            .ok_or_else(|| protocol_error(&peer, "malformed worker handshake"))?;
-        if schema != ENGINE_SCHEMA_VERSION {
-            return Err(protocol_error(
-                &peer,
-                format!(
-                    "worker speaks engine schema {schema}, parent expects \
-                     {ENGINE_SCHEMA_VERSION} (mixed builds?)"
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Ships one point and blocks for its reply.
-    fn run_point(
-        &mut self,
-        index: usize,
-        point: &PointSpec,
-        budget: &RunBudget,
-    ) -> Result<Reply, RunError> {
-        let peer = self.transport.peer().to_string();
-        self.transport
-            .send_text(&point_frame(index, point, budget))
-            .map_err(|e| e.to_run_error())?;
-        let text = self
-            .transport
-            .recv_text()
-            .map_err(|e| e.to_run_error())?
-            .ok_or_else(|| RunError::Remote {
-                kind: "worker-died".to_string(),
-                message: format!("{peer}: worker exited mid-point"),
-            })?;
-        let (echoed, reply) =
-            parse_reply(&text).ok_or_else(|| protocol_error(&peer, "malformed worker reply"))?;
-        if echoed != index {
-            return Err(protocol_error(
-                &peer,
-                format!("worker replied for point {echoed}, expected {index}"),
-            ));
-        }
-        Ok(reply)
+        // The child lives in `worker` from the start, so every early
+        // return kills and reaps it.
+        let mut worker = Worker::new(PipeTransport::new(io::empty(), io::sink(), ""), None);
+        let child = worker.child.insert(cmd.spawn().ok()?);
+        let (stdin, stdout) = (child.stdin.take()?, child.stdout.take()?);
+        let peer = format!("worker w{seq}");
+        worker.link = Box::new(PipeTransport::new(BufReader::new(stdout), stdin, peer));
+        let ready = worker.link.recv_text().ok()??;
+        (ready == format!("ready {ENGINE_SCHEMA_VERSION}")).then_some(worker)
     }
 }
 
-impl Drop for WorkerProc {
+impl Drop for Worker {
     fn drop(&mut self) {
-        // Kill unconditionally, then reap: a healthy worker would exit on
+        // Kill unconditionally, then reap: a healthy child would exit on
         // the stdin EOF anyway, and a wedged one must not hang the sweep.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        if let Some(child) = &mut self.child {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
     }
 }
 
-/// A pool of worker processes executing grid points with work-stealing,
-/// per-worker crash isolation and the supervisor's budget-doubling retry
-/// policy (retries are driven from the parent: the point is re-sent with
-/// a doubled budget).
-///
-/// A crashed worker's in-flight point is *requeued*: re-sent to a fresh
-/// worker, and — if workers keep dying on it — computed in-process via the
-/// caller's fallback, so no grid point is ever lost to a worker death.
-#[derive(Debug, Clone)]
-pub struct WorkerPool {
-    /// How to launch each worker.
-    pub command: WorkerCommand,
-    /// Worker-process count (0 = all cores).
-    pub workers: usize,
-    /// Keep-going (default) or fail-fast.
-    pub policy: FailurePolicy,
-    /// Watchdog budget per point.
-    pub budget: RunBudget,
-    /// Budget-failure retries per point (doubling each time).
-    pub retries: u32,
+/// What the sweep's thread waits for: the one channel of a run.
+pub(crate) enum Event {
+    /// A worker arrived on its own (a TCP registration).
+    Arrived(Worker),
+    /// A worker's thread ended; true when its worker died, disconnected or
+    /// failed its greeting (false when it drained the pool or could not
+    /// start).
+    Exited(bool),
+    /// The last point was resolved, or a fail-fast abort began.
+    Resolved,
+    /// The no-worker grace period armed in this epoch ran out.
+    GraceOver(u64),
 }
 
-impl WorkerPool {
-    /// A pool with default supervision knobs.
-    pub fn new(command: WorkerCommand, workers: usize) -> WorkerPool {
-        WorkerPool {
-            command,
-            workers,
-            policy: FailurePolicy::KeepGoing,
-            budget: RunBudget::UNLIMITED,
-            retries: 1,
+/// A source of workers for [`run_points`]. The provided methods describe
+/// local children, which the sweep starts itself instead of waiting for.
+pub(crate) trait Fleet: Sync {
+    /// Starts a run: workers that are or become available on their own are
+    /// sent on `events`. Returns how many workers to [`spawn`](Self::spawn).
+    fn open(&self, events: &Sender<Event>) -> usize;
+
+    /// Starts one worker, for the run's start or to replace one that died,
+    /// and waits until it is ready; `None` when it cannot start.
+    fn spawn(&self) -> Option<Worker>;
+
+    /// The liveness deadline and the no-worker grace period.
+    fn tuning(&self) -> ExecTuning {
+        ExecTuning {
+            grace: Duration::ZERO,
+            ..ExecTuning::default()
         }
     }
 
-    /// Runs every point across the pool; outcomes come back in point
-    /// order, together with the pool's robustness counters.
-    ///
-    /// `fallback` computes one point in-process (under the given budget);
-    /// it runs when worker processes keep dying on a point, so the point
-    /// is never lost. `on_done` runs on the driver thread the moment its
-    /// point completes (this is where the supervisor appends the journal
-    /// line and writes the result store) — an `Err` from it demotes the
-    /// point to [`PointOutcome::Failed`].
-    pub fn run_points<F, G>(
-        &self,
-        points: &[PointSpec],
-        fallback: G,
-        on_done: F,
-    ) -> (Vec<PointOutcome<ScenarioReport>>, RobustnessCounters)
-    where
-        F: Fn(usize, &ScenarioReport) -> Result<(), RunError> + Sync,
-        G: Fn(usize, &RunBudget) -> Result<ScenarioReport, RunError> + Sync,
-    {
-        let workers = effective_jobs(self.workers, points.len());
-        let abort = AtomicBool::new(false);
-        let counters = SharedCounters::default();
-        let fail = |error: RunError| {
-            if self.policy == FailurePolicy::FailFast {
-                abort.store(true, Ordering::SeqCst);
+    /// Readies a fresh worker for the points of sweep `digest`: `None`
+    /// when it cannot serve them, `Some(resumed)` otherwise.
+    fn greet(&self, _worker: &mut Worker, _digest: &str) -> Option<bool> {
+        Some(false)
+    }
+
+    /// Ends a run; `unused` are the workers that arrived but were never
+    /// driven.
+    fn close(&self, unused: &mut dyn Iterator<Item = Worker>) {
+        unused.for_each(drop);
+    }
+}
+
+/// The `--workers N` fleet: `workers` local children of `command`, each
+/// replaced when it dies.
+pub(crate) struct LocalFleet {
+    pub(crate) command: WorkerCommand,
+    pub(crate) workers: usize,
+}
+
+impl Fleet for LocalFleet {
+    fn open(&self, _: &Sender<Event>) -> usize {
+        self.workers
+    }
+
+    fn spawn(&self) -> Option<Worker> {
+        Worker::spawn(&self.command)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The scheduler
+// ---------------------------------------------------------------------------
+
+/// Runs `specs` on the workers `fleet` provides, under `sup`'s failure
+/// policy, budget and retry bound; outcomes come back in point order with
+/// the run's robustness counters. `digest` names the sweep to workers that
+/// register for it.
+///
+/// `fallback` computes one point in-process (under the given budget); it
+/// runs when no worker is available and for a point whose workers keep
+/// dying. `on_done` runs the moment a point completes (this is where the
+/// supervisor appends the journal line and writes the result store); an
+/// `Err` from it demotes the point to [`PointOutcome::Failed`].
+pub(crate) fn run_points<F, G>(
+    fleet: &dyn Fleet,
+    sup: &Supervisor,
+    digest: &str,
+    specs: &[PointSpec],
+    fallback: G,
+    on_done: F,
+) -> (Vec<PointOutcome<ScenarioReport>>, RobustnessCounters)
+where
+    F: Fn(usize, &ScenarioReport) -> Result<(), RunError> + Sync,
+    G: Fn(usize, &RunBudget) -> Result<ScenarioReport, RunError> + Sync,
+{
+    let tuning = fleet.tuning();
+    let (events, inbox) = channel();
+    let ctx = RunCtx {
+        digest,
+        specs,
+        sup,
+        liveness: tuning.liveness,
+        next: AtomicUsize::new(0),
+        requeued: Mutex::new(Vec::new()),
+        retried: specs.iter().map(|_| AtomicU32::new(0)).collect(),
+        deaths: specs.iter().map(|_| AtomicU32::new(0)).collect(),
+        slots: specs.iter().map(|_| OnceLock::new()).collect(),
+        resolved: AtomicUsize::new(0),
+        abort: AtomicBool::new(false),
+        counters: Mutex::default(),
+        events,
+        on_done: &on_done,
+        fallback: &fallback,
+    };
+    std::thread::scope(|scope| {
+        // One thread per worker; given none, it spawns its own
+        // (which waits for the child's `ready`) and then drives it.
+        let start = |worker: Option<Worker>| {
+            let ctx = &ctx;
+            scope.spawn(move || {
+                // A worker that could not start did not die: no replacement.
+                let died = match worker.or_else(|| fleet.spawn()) {
+                    Some(mut worker) => ctx.drive(&mut worker, fleet),
+                    None => false,
+                };
+                // The worker is dropped (a child killed and reaped) by now.
+                let _ = ctx.events.send(Event::Exited(died));
+            });
+        };
+        // Worker threads running, and the no-worker state: a grace timer
+        // armed in `epoch`, then in-process execution once it runs out.
+        let mut live = fleet.open(&ctx.events);
+        (0..live).for_each(|_| start(None));
+        let mut epoch = 0u64;
+        let mut armed = false;
+        let mut degraded = false;
+        while ctx.resolved.load(Ordering::SeqCst) < specs.len() {
+            let event = match inbox.try_recv() {
+                Ok(event) => event,
+                Err(_) => {
+                    if live == 0 {
+                        if degraded {
+                            if let Some(j) = ctx.claim() {
+                                ctx.run_local(j);
+                                ctx.skip_unclaimed_on_abort();
+                                continue;
+                            }
+                        } else if !armed {
+                            armed = true;
+                            // Not joined: it would hold the run open for up
+                            // to the grace period.
+                            let events = ctx.events.clone();
+                            std::thread::spawn(move || {
+                                std::thread::sleep(tuning.grace);
+                                let _ = events.send(Event::GraceOver(epoch));
+                            });
+                        }
+                    }
+                    // `ctx` holds a sender, so the channel never disconnects.
+                    let Ok(event) = inbox.recv() else { break };
+                    event
+                }
+            };
+            match event {
+                Event::Arrived(worker) => {
+                    live += 1;
+                    epoch += 1;
+                    armed = false;
+                    degraded = false;
+                    start(Some(worker));
+                }
+                Event::Exited(died) => {
+                    live -= 1;
+                    if died && ctx.has_unclaimed() {
+                        live += 1;
+                        start(None);
+                    }
+                }
+                Event::Resolved => {}
+                Event::GraceOver(armed_in) => degraded |= armed_in == epoch && live == 0,
             }
-            PointOutcome::Failed(error)
-        };
-        let finish = |index: usize, report: ScenarioReport| match on_done(index, &report) {
-            Ok(()) => PointOutcome::Done(report),
-            Err(e) => fail(e),
-        };
-        let mut partial = run_indexed_partial_with(
-            workers,
-            points.len(),
-            || None::<WorkerProc>,
-            |proc, index| {
-                if abort.load(Ordering::SeqCst) {
-                    return PointOutcome::Skipped;
-                }
-                let point = &points[index];
-                let mut budget = self.budget;
-                let mut attempt = 0u32;
-                let mut crashes = 0u32;
-                loop {
-                    if crashes > CRASH_RETRIES {
-                        // Workers keep dying on this point (or cannot be
-                        // spawned at all): graceful degradation — compute
-                        // it in-process so the point is requeued, never
-                        // lost.
-                        loop {
-                            match fallback(index, &budget) {
-                                Ok(report) => return finish(index, report),
-                                Err(e) => {
-                                    if e.kind() == "budget-exceeded" && attempt < self.retries {
-                                        attempt += 1;
-                                        budget = budget.doubled();
-                                        continue;
-                                    }
-                                    return fail(e);
-                                }
-                            }
-                        }
-                    }
-                    if proc.is_none() {
-                        match WorkerProc::spawn(&self.command) {
-                            Ok(w) => *proc = Some(w),
-                            Err(_) => {
-                                crashes += 1;
-                                counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
-                    }
-                    let worker = proc.as_mut().expect("worker was just spawned");
-                    match worker.run_point(index, point, &budget) {
-                        Ok(Reply::Done(report)) => return finish(index, *report),
-                        Ok(Reply::Fail { kind, message }) => {
-                            if kind == "budget-exceeded" && attempt < self.retries {
-                                attempt += 1;
-                                budget = budget.doubled();
-                                continue;
-                            }
-                            return fail(RunError::Remote { kind, message });
-                        }
-                        Err(_) => {
-                            // The pipe broke: the child crashed (or wedged
-                            // and wrote garbage). Requeue the in-flight
-                            // point onto a fresh worker.
-                            *proc = None;
-                            crashes += 1;
-                            counters.requeued_points.fetch_add(1, Ordering::Relaxed);
-                            counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    }
-                }
-            },
-        );
-        let outcomes = partial
-            .results
-            .iter_mut()
-            .map(|slot| match slot.take() {
-                Some(outcome) => outcome,
-                None => PointOutcome::Failed(RunError::Panicked {
-                    message: "pool driver died before reporting".to_string(),
-                }),
+            ctx.skip_unclaimed_on_abort();
+        }
+    });
+    fleet.close(&mut inbox.try_iter().filter_map(|event| match event {
+        Event::Arrived(worker) => Some(worker),
+        _ => None,
+    }));
+
+    let counters = ctx.count(|_| {});
+    let lost = || {
+        PointOutcome::Failed(RunError::Panicked {
+            message: "scheduler lost a point slot".to_string(),
+        })
+    };
+    let outcomes = ctx.slots.into_iter().map(|s| s.into_inner().unwrap_or_else(lost));
+    (outcomes.collect(), counters)
+}
+
+/// Shared state of one run: the claim pool, the resolve-once slots, the
+/// two per-point counts and the robustness counters.
+struct RunCtx<'a> {
+    digest: &'a str,
+    specs: &'a [PointSpec],
+    sup: &'a Supervisor,
+    liveness: Duration,
+    next: AtomicUsize,
+    requeued: Mutex<Vec<usize>>,
+    /// Budget doublings spent per point.
+    retried: Vec<AtomicU32>,
+    /// Worker deaths per point.
+    deaths: Vec<AtomicU32>,
+    /// Each point's outcome, set once; points resolve concurrently.
+    slots: Vec<OnceLock<PointOutcome<ScenarioReport>>>,
+    resolved: AtomicUsize,
+    abort: AtomicBool,
+    counters: Mutex<RobustnessCounters>,
+    events: Sender<Event>,
+    on_done: &'a (dyn Fn(usize, &ScenarioReport) -> Result<(), RunError> + Sync),
+    fallback: &'a (dyn Fn(usize, &RunBudget) -> Result<ScenarioReport, RunError> + Sync),
+}
+
+impl RunCtx<'_> {
+    /// Applies `update` to the counters; returns them after it.
+    fn count(&self, update: impl FnOnce(&mut RobustnessCounters)) -> RobustnessCounters {
+        let mut counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
+        update(&mut counters);
+        *counters
+    }
+
+    /// Claims the next unowned point: requeued points first, then the
+    /// shared counter. `None` once the pool is drained (or aborted).
+    fn claim(&self) -> Option<usize> {
+        (!self.abort.load(Ordering::SeqCst)).then(|| self.pop_unclaimed())?
+    }
+
+    fn pop_unclaimed(&self) -> Option<usize> {
+        if let Some(j) = self.requeued.lock().ok().and_then(|mut q| q.pop()) {
+            return Some(j);
+        }
+        let j = self.next.fetch_add(1, Ordering::SeqCst);
+        (j < self.specs.len()).then_some(j)
+    }
+
+    /// True while a claim could still succeed.
+    fn has_unclaimed(&self) -> bool {
+        !self.abort.load(Ordering::SeqCst)
+            && (self.next.load(Ordering::SeqCst) < self.specs.len()
+                || self.requeued.lock().is_ok_and(|q| !q.is_empty()))
+    }
+
+    /// The point's budget: the supervisor's, doubled once per budget retry
+    /// spent on it.
+    fn budget_for(&self, j: usize) -> RunBudget {
+        let mut budget = self.sup.budget;
+        for _ in 0..self.retried[j].load(Ordering::SeqCst) {
+            budget = budget.doubled();
+        }
+        budget
+    }
+
+    /// Spends one budget retry on point `j`; false when none are left.
+    fn retry_budget(&self, j: usize) -> bool {
+        self.retried[j]
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.sup.retries).then_some(n + 1)
             })
-            .collect();
-        (outcomes, counters.snapshot())
+            .is_ok()
+    }
+
+    /// Puts a claimed point back in the pool (skipped after an abort).
+    fn requeue(&self, j: usize) {
+        if self.abort.load(Ordering::SeqCst) {
+            self.resolve(j, PointOutcome::Skipped);
+        } else if let Ok(mut q) = self.requeued.lock() {
+            q.push(j);
+        }
+    }
+
+    /// Handles a worker's death while it held point `j`: the point goes
+    /// back in the pool, or in-process once its workers died more than
+    /// [`CRASH_RETRIES`] times.
+    fn worker_died(&self, j: usize, timed_out: bool) {
+        self.count(|c| {
+            c.requeued_points += 1;
+            c.worker_restarts += 1;
+            c.heartbeat_misses += u64::from(timed_out);
+        });
+        if self.deaths[j].fetch_add(1, Ordering::SeqCst) + 1 > CRASH_RETRIES {
+            self.run_local(j);
+        } else {
+            self.requeue(j);
+        }
+    }
+
+    fn is_resolved(&self, j: usize) -> bool {
+        self.slots.get(j).is_some_and(|slot| slot.get().is_some())
+    }
+
+    /// Resolves a point exactly once; a late duplicate is discarded, which
+    /// is what keeps the journal free of duplicate appends.
+    fn resolve(&self, j: usize, outcome: PointOutcome<ScenarioReport>) {
+        let mut first = false;
+        self.slots[j].get_or_init(|| {
+            first = true;
+            match outcome {
+                PointOutcome::Done(report) => match (self.on_done)(j, &report) {
+                    Ok(()) => PointOutcome::Done(report),
+                    Err(e) => PointOutcome::Failed(e),
+                },
+                other => other,
+            }
+        });
+        if !first {
+            return;
+        }
+        if matches!(self.slots[j].get(), Some(PointOutcome::Failed(_)))
+            && self.sup.policy == FailurePolicy::FailFast
+        {
+            self.abort.store(true, Ordering::SeqCst);
+        }
+        // Only the last resolution and an abort change what the sweep's
+        // thread does next, so only they wake it.
+        let last = self.resolved.fetch_add(1, Ordering::SeqCst) + 1 == self.specs.len();
+        if last || self.abort.load(Ordering::SeqCst) {
+            let _ = self.events.send(Event::Resolved);
+        }
+    }
+
+    /// Handles a worker's reply for point `j`.
+    fn finish(&self, j: usize, reply: Reply) {
+        match reply {
+            Reply::Done(report) => self.resolve(j, PointOutcome::Done(*report)),
+            Reply::Fail { kind, .. } if kind == "budget-exceeded" && self.retry_budget(j) => {
+                self.requeue(j)
+            }
+            Reply::Fail { kind, message } => {
+                self.resolve(j, PointOutcome::Failed(RunError::Remote { kind, message }))
+            }
+        }
+    }
+
+    /// Computes point `j` in-process, with the same budget retries.
+    fn run_local(&self, j: usize) {
+        loop {
+            match (self.fallback)(j, &self.budget_for(j)) {
+                Ok(report) => return self.resolve(j, PointOutcome::Done(report)),
+                Err(e) if e.kind() == "budget-exceeded" && self.retry_budget(j) => {}
+                Err(e) => return self.resolve(j, PointOutcome::Failed(e)),
+            }
+        }
+    }
+
+    /// After a fail-fast abort, resolves everything still unclaimed as
+    /// skipped (claims return `None` once aborted, so nothing else will
+    /// ever pick these up).
+    fn skip_unclaimed_on_abort(&self) {
+        if !self.abort.load(Ordering::SeqCst) {
+            return;
+        }
+        while let Some(j) = self.pop_unclaimed() {
+            self.resolve(j, PointOutcome::Skipped);
+        }
+    }
+
+    /// Drives one worker through the claim pool until the pool drains or the
+    /// worker dies; returns true when it died. Every exit path resolves or
+    /// requeues the in-flight point, so nothing is lost.
+    fn drive(&self, worker: &mut Worker, fleet: &dyn Fleet) -> bool {
+        let Some(resumed) = fleet.greet(worker, self.digest) else {
+            // Nothing in flight, nothing to requeue.
+            self.count(|c| c.worker_restarts += 1);
+            return true;
+        };
+        self.count(|c| c.backoff_retries += u64::from(resumed));
+        let link = &mut *worker.link;
+        while let Some(j) = self.claim() {
+            match self.exchange(link, j) {
+                Ok(reply) => self.finish(j, reply),
+                Err(e) => {
+                    self.worker_died(j, e.is_timeout());
+                    return true;
+                }
+            }
+        }
+        let _ = link.send_text("shutdown");
+        false
+    }
+
+    /// Ships point `j` and waits for its reply, skipping heartbeats and late
+    /// duplicates for points already resolved.
+    fn exchange(&self, link: &mut dyn FrameTransport, j: usize) -> Result<Reply, FrameError> {
+        let budget = self.budget_for(j);
+        link.send_text(&point_frame(j, &self.specs[j], &budget))?;
+        // The hung-simulation deadline: the budget's wall limit plus headroom
+        // for shipping. A worker may heartbeat forever; it may not *compute*
+        // forever.
+        let started = Instant::now();
+        let hang_deadline = budget.max_wall.map(|w| w * 2 + self.liveness);
+        let lost = |link: &dyn FrameTransport, what: &str| FrameError::Io {
+            context: link.peer().to_string(),
+            message: what.to_string(),
+        };
+        loop {
+            let Some(frame) = link.recv()? else {
+                return Err(lost(link, "worker disconnected mid-point"));
+            };
+            if frame == HEARTBEAT_PAYLOAD {
+                if hang_deadline.is_some_and(|d| started.elapsed() > d) {
+                    return Err(lost(link, "hung past its wall-clock deadline"));
+                }
+                continue;
+            }
+            match String::from_utf8(frame).ok().as_deref().and_then(parse_reply) {
+                Some((echoed, reply)) if echoed == j => return Ok(reply),
+                Some((echoed, _)) if self.is_resolved(echoed) => {}
+                _ => return Err(lost(link, "malformed reply")),
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net_transport::FRAME_HEADER;
+    use std::collections::VecDeque;
+    use std::sync::Arc;
 
     #[test]
     fn point_frames_parse_back() {
@@ -687,5 +986,191 @@ mod tests {
             b.to_string(),
             "requeued_points=1 worker_restarts=2 heartbeat_misses=0 backoff_retries=3"
         );
+    }
+
+    // -- The scheduler, driven by in-memory workers --------------------------
+
+    /// How a fake worker answers point `j`, given its spawn number: the
+    /// frames it sends back, `None` meaning it dies (EOF).
+    type Script = dyn Fn(usize, usize) -> Vec<Option<String>> + Send + Sync;
+    type Log = Arc<Mutex<Vec<(usize, RunBudget)>>>;
+
+    struct FakeWorker(usize, Arc<Script>, VecDeque<Option<String>>, Log);
+
+    impl FrameTransport for FakeWorker {
+        fn send_bytes(&mut self, bytes: &[u8]) -> Result<(), FrameError> {
+            let text = String::from_utf8_lossy(&bytes[FRAME_HEADER..]);
+            if let Some((j, _, budget)) = parse_point_frame(&text) {
+                self.2.extend((self.1)(self.0, j));
+                self.3.lock().expect("log").push((j, budget));
+            }
+            Ok(())
+        }
+        fn recv(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
+            Ok(self.2.pop_front().flatten().map(String::into_bytes))
+        }
+        fn set_read_deadline(&mut self, _: Option<Duration>) -> Result<(), FrameError> {
+            Ok(())
+        }
+        fn peer(&self) -> &str {
+            "fake"
+        }
+    }
+
+    /// A local-style fleet: one fake worker at the start and a fresh one
+    /// per death, all logging the point frames they receive.
+    struct FakeFleet(Arc<Script>, AtomicUsize, Log);
+
+    impl Fleet for FakeFleet {
+        fn open(&self, _: &Sender<Event>) -> usize {
+            1
+        }
+        fn spawn(&self) -> Option<Worker> {
+            let id = self.1.fetch_add(1, Ordering::SeqCst);
+            let fake = FakeWorker(id, Arc::clone(&self.0), VecDeque::new(), Arc::clone(&self.2));
+            Some(Worker::new(fake, None))
+        }
+    }
+
+    /// A cheap report whose event count names its point.
+    fn report(j: usize) -> ScenarioReport {
+        let line = format!(
+            "{{\"key\":\"k\",\"protocol\":\"reno\",\"clients\":1,\"seed\":0,\"cov\":0.5,\
+             \"poisson_cov\":0.2,\"generated\":9,\"delivered\":9,\"loss_percent\":0,\
+             \"timeouts\":0,\"fast_retransmits\":0,\"events\":{j}}}"
+        );
+        let entry = crate::supervise::JournalEntry::parse(&line).expect("parses");
+        entry.reconstruct_report()
+    }
+
+    fn done(j: usize) -> Option<String> {
+        Some(format!("done {j}\n{}", codec::encode(&report(j)).expect("encodes")))
+    }
+
+    struct Run {
+        outcomes: Vec<PointOutcome<ScenarioReport>>,
+        counters: RobustnessCounters,
+        /// The point frames the workers received, as `(index, budget)`.
+        sent: Vec<(usize, RunBudget)>,
+        /// `on_done` and fallback calls per point.
+        done_calls: Vec<u32>,
+        local_calls: Vec<u32>,
+    }
+
+    /// Runs `n` points on a fake fleet answering with `script`.
+    fn run(
+        sup: &Supervisor,
+        n: usize,
+        script: impl Fn(usize, usize) -> Vec<Option<String>> + Send + Sync + 'static,
+    ) -> Run {
+        let fleet = FakeFleet(Arc::new(script), AtomicUsize::new(0), Arc::default());
+        let calls = || (0..n).map(|_| AtomicU32::new(0)).collect::<Vec<_>>();
+        let (done_calls, local_calls) = (calls(), calls());
+        let spec = PointSpec {
+            protocol: Protocol::Reno,
+            clients: 3,
+            seed: 1,
+        };
+        let (outcomes, counters) = run_points(
+            &fleet,
+            sup,
+            "digest",
+            &vec![spec; n],
+            |j, _| {
+                local_calls[j].fetch_add(1, Ordering::SeqCst);
+                Ok(report(j))
+            },
+            |j, r| {
+                assert_eq!(r.events_processed, j as u64, "a report lands in its own slot");
+                done_calls[j].fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            },
+        );
+        let counts = |v: Vec<AtomicU32>| v.into_iter().map(AtomicU32::into_inner).collect();
+        let sent = fleet.2.lock().expect("log").clone();
+        Run {
+            outcomes,
+            counters,
+            sent,
+            done_calls: counts(done_calls),
+            local_calls: counts(local_calls),
+        }
+    }
+
+    fn all_done(outcomes: &[PointOutcome<ScenarioReport>]) -> bool {
+        outcomes.iter().all(|o| matches!(o, PointOutcome::Done(_)))
+    }
+
+    /// A supervisor with an event budget and `retries` budget retries.
+    fn budgeted(retries: u32) -> Supervisor {
+        Supervisor {
+            budget: RunBudget {
+                max_events: Some(1000),
+                ..RunBudget::UNLIMITED
+            },
+            retries,
+            ..Supervisor::default()
+        }
+    }
+
+    #[test]
+    fn a_zombies_late_duplicate_is_discarded() {
+        // Every reply comes twice: the copy reaches the scheduler while it
+        // waits for the next point, after the first copy resolved.
+        let r = run(&Supervisor::default(), 5, |_, j| vec![done(j), done(j)]);
+        assert!(all_done(&r.outcomes));
+        assert_eq!(r.done_calls, vec![1; 5], "on_done runs exactly once per point");
+        assert_eq!(r.local_calls, vec![0; 5]);
+        assert!(!r.counters.any(), "a discarded duplicate is no fault: {}", r.counters);
+    }
+
+    #[test]
+    fn a_point_whose_workers_keep_dying_finishes_in_process() {
+        // Whoever is handed point 2 dies.
+        let r = run(&Supervisor::default(), 5, |_, j| vec![if j == 2 { None } else { done(j) }]);
+        assert!(all_done(&r.outcomes));
+        assert_eq!(r.done_calls, vec![1; 5]);
+        assert_eq!(r.local_calls, vec![0, 0, 1, 0, 0], "only the poisonous point");
+        let deaths = u64::from(CRASH_RETRIES) + 1;
+        assert_eq!(r.sent.iter().filter(|(j, _)| *j == 2).count() as u64, deaths);
+        assert_eq!(r.counters.requeued_points, deaths);
+        assert_eq!(r.counters.worker_restarts, deaths);
+    }
+
+    #[test]
+    fn fail_fast_marks_every_unclaimed_point_skipped() {
+        let sup = Supervisor {
+            policy: FailurePolicy::FailFast,
+            ..Supervisor::default()
+        };
+        let r = run(&sup, 4, |_, j| vec![Some(format!("fail {j} panicked\nboom"))]);
+        assert!(matches!(r.outcomes[0], PointOutcome::Failed(_)));
+        assert!(r.outcomes[1..].iter().all(|o| matches!(o, PointOutcome::Skipped)));
+        assert_eq!(r.sent.len(), 1, "nothing is claimed after the abort");
+        assert_eq!(r.done_calls, vec![0; 4]);
+    }
+
+    #[test]
+    fn budget_overruns_retry_with_doubled_budgets_exactly_retries_times() {
+        let r = run(&budgeted(2), 1, |_, j| {
+            vec![Some(format!("fail {j} budget-exceeded\nout of events"))]
+        });
+        match &r.outcomes[0] {
+            PointOutcome::Failed(RunError::Remote { kind, .. }) => assert_eq!(kind, "budget-exceeded"),
+            other => panic!("expected a budget failure, got {other:?}"),
+        }
+        let budgets: Vec<_> = r.sent.iter().map(|(_, b)| b.max_events).collect();
+        assert_eq!(budgets, vec![Some(1000), Some(2000), Some(4000)]);
+        assert!(!r.counters.any(), "a budget retry is no fault: {}", r.counters);
+    }
+
+    #[test]
+    fn a_worker_death_does_not_double_the_budget() {
+        // The first worker dies on its first point; its replacement answers.
+        let r = run(&budgeted(1), 1, |worker, j| vec![(worker > 0).then(|| done(j)).flatten()]);
+        assert!(all_done(&r.outcomes));
+        let budgets: Vec<_> = r.sent.iter().map(|(_, b)| b.max_events).collect();
+        assert_eq!(budgets, vec![Some(1000), Some(1000)]);
+        assert_eq!((r.counters.requeued_points, r.counters.worker_restarts), (1, 1));
     }
 }

@@ -152,9 +152,15 @@ proptest! {
 /// Spawns `serve --once` on an ephemeral loopback port and reports the
 /// bound address from its stderr banner.
 fn spawn_daemon(dir: &PathBuf, extra: &[&str]) -> (Child, String) {
+    spawn_serve(dir, &[&["--once"], extra].concat())
+}
+
+/// Spawns `serve` with `args` on an ephemeral loopback port and reports
+/// the bound address from its stderr banner.
+fn spawn_serve(dir: &PathBuf, args: &[&str]) -> (Child, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
-    cmd.args(["serve", "--listen", "127.0.0.1:0", "--once"])
-        .args(extra)
+    cmd.args(["serve", "--listen", "127.0.0.1:0"])
+        .args(args)
         .env("TCPBURST_CACHE", dir)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
@@ -291,6 +297,26 @@ fn daemon_degrades_to_in_process_when_all_workers_vanish() {
         String::from_utf8_lossy(&result.stdout),
         "degraded execution must reproduce the serial tables byte-for-byte"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The TCP-worker contract external tools rely on: a
+/// `tcpburst worker --connect` leaves with exit code 0 within 10 s of its
+/// job's `submit` returning, even though the daemon keeps serving.
+#[test]
+fn a_tcp_worker_exits_cleanly_after_its_job() {
+    let dir = temp_dir();
+    // No `--once`: the daemon outlives the job, so the worker's exit is
+    // its own, not a side effect of the daemon closing the socket.
+    let (mut daemon, addr) = spawn_serve(&dir, &[]);
+    let worker = spawn_worker(&dir, &addr, &[], &[]);
+    let result = submit(&dir, &addr);
+    assert!(result.status.success(), "remote sweep fails: {result:?}");
+    let exit = wait_bounded(worker, 10);
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    assert_eq!(exit.status.code(), Some(0), "worker exit after its job");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

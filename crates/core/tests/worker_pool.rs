@@ -3,8 +3,9 @@
 //! in-process path, and a crashing worker loses one grid point, not the
 //! sweep.
 
+use std::io::BufReader;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -93,6 +94,33 @@ fn a_crashing_worker_loses_zero_points() {
         stderr.contains("requeued_points=") && stderr.contains("worker_restarts="),
         "robustness counters are reported on stderr: {stderr}"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The pipe-worker contract external tools rely on: `tcpburst worker`
+/// (no `--connect`) sends `ready <engine schema>` as its first stdout
+/// frame, and exits 0 when its stdin closes.
+#[test]
+fn a_pipe_worker_says_ready_then_exits_cleanly_on_eof() {
+    use tcpburst_core::{FrameTransport, PipeTransport, ENGINE_SCHEMA_VERSION};
+
+    let dir = temp_dir();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tcpburst"))
+        .args(["worker", "--secs", "2"])
+        .env("TCPBURST_CACHE", &dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("worker spawns");
+    let stdin = child.stdin.take().expect("stdin piped");
+    let stdout = child.stdout.take().expect("stdout piped");
+    let mut pipe = PipeTransport::new(BufReader::new(stdout), stdin, "worker");
+    let first = pipe.recv_text().expect("a clean frame").expect("not EOF");
+    assert_eq!(first, format!("ready {ENGINE_SCHEMA_VERSION}"));
+    drop(pipe);
+    let status = child.wait().expect("worker reaped");
+    assert_eq!(status.code(), Some(0), "EOF on stdin is a clean shutdown");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

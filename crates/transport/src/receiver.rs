@@ -1,7 +1,5 @@
 //! The TCP receiver: in-order reassembly, cumulative ACKs, delayed ACKs.
 
-use std::collections::BTreeSet;
-
 use tcpburst_des::{Scheduler, SimTime, TimerGeneration, TimerSlot};
 use tcpburst_net::{Ecn, FlowId, NodeId, Packet, PacketKind, SackBlocks, SeqNo};
 use tcpburst_stats::RunningStats;
@@ -26,7 +24,10 @@ pub struct TcpReceiver {
     /// The sender's node (ACK destination).
     remote: NodeId,
     rcv_nxt: SeqNo,
-    out_of_order: BTreeSet<SeqNo>,
+    /// Segments above `rcv_nxt` received out of order, sorted ascending.
+    /// A few entries at most, and the capacity is reused across reordering
+    /// episodes, so steady state allocates nothing.
+    out_of_order: Vec<SeqNo>,
     unacked_segments: u32,
     delack_timer: TimerSlot,
     /// A CE mark arrived and has not yet been echoed (simplified RFC 3168:
@@ -48,7 +49,7 @@ impl TcpReceiver {
             local,
             remote,
             rcv_nxt: SeqNo::ZERO,
-            out_of_order: BTreeSet::new(),
+            out_of_order: Vec::new(),
             unacked_segments: 0,
             delack_timer: TimerSlot::new(),
             pending_ece: false,
@@ -96,7 +97,8 @@ impl TcpReceiver {
         if pkt.ecn.is_ce() {
             self.pending_ece = true;
         }
-        if seq < self.rcv_nxt || self.out_of_order.contains(&seq) {
+        let slot = self.out_of_order.binary_search(&seq);
+        if seq < self.rcv_nxt || slot.is_ok() {
             // Duplicate of delivered or buffered data: ACK immediately so the
             // sender sees where we are.
             self.counters.duplicates += 1;
@@ -105,11 +107,17 @@ impl TcpReceiver {
             self.delay.push(now.saturating_since(pkt.created_at).as_secs_f64());
             self.rcv_nxt = self.rcv_nxt.next();
             self.counters.delivered += 1;
-            // Absorb any buffered continuation.
-            while self.out_of_order.remove(&self.rcv_nxt) {
-                self.rcv_nxt = self.rcv_nxt.next();
-                self.counters.delivered += 1;
-            }
+            // Absorb any buffered continuation: the consecutive run at the
+            // front of the sorted buffer.
+            let run = self
+                .out_of_order
+                .iter()
+                .zip(self.rcv_nxt.0..)
+                .take_while(|(q, next)| q.0 == *next)
+                .count();
+            self.out_of_order.drain(..run);
+            self.rcv_nxt.0 += run as u64;
+            self.counters.delivered += run as u64;
             if self.cfg.delayed_ack {
                 self.unacked_segments += 1;
                 if self.unacked_segments >= 2 {
@@ -135,7 +143,9 @@ impl TcpReceiver {
         } else {
             // A hole: buffer and emit an immediate duplicate ACK.
             self.delay.push(now.saturating_since(pkt.created_at).as_secs_f64());
-            self.out_of_order.insert(seq);
+            if let Err(at) = slot {
+                self.out_of_order.insert(at, seq);
+            }
             self.counters.out_of_order += 1;
             self.ack_now(sched, now, out);
         }
@@ -182,16 +192,21 @@ impl TcpReceiver {
         if !self.cfg.variant.uses_sack() || self.out_of_order.is_empty() {
             return SackBlocks::EMPTY;
         }
-        let mut ranges: Vec<(SeqNo, SeqNo)> = Vec::new();
-        for &q in &self.out_of_order {
-            match ranges.last_mut() {
-                Some((_, end)) if *end == q => end.0 += 1,
-                _ => ranges.push((q, q.next())),
+        // Walk down from the highest buffered segment, merging runs, until
+        // three ranges are complete.
+        let mut ranges = [(SeqNo::ZERO, SeqNo::ZERO); 3];
+        let mut n = 0;
+        for &q in self.out_of_order.iter().rev() {
+            if n > 0 && ranges[n - 1].0 == q.next() {
+                ranges[n - 1].0 = q;
+            } else if n == 3 {
+                break;
+            } else {
+                ranges[n] = (q, q.next());
+                n += 1;
             }
         }
-        ranges.reverse(); // highest range first
-        ranges.truncate(3);
-        SackBlocks::from_ranges(&ranges)
+        SackBlocks::from_ranges(&ranges[..n])
     }
 
     fn send_ack(&mut self, now: SimTime, out: &mut Vec<Packet>) {

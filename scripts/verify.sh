@@ -2,7 +2,7 @@
 # CI gate for tcpburst. Everything here must run fully offline: the
 # workspace has no external dependencies (see README "Offline builds").
 #
-#   sh scripts/verify.sh          # tier-1 + clippy + determinism + throughput bench
+#   sh scripts/verify.sh          # tier-1 + clippy + rustdoc + determinism + throughput bench
 #   BENCH=0 sh scripts/verify.sh  # skip the benchmarks (quick gate)
 set -eu
 
@@ -16,6 +16,9 @@ cargo test -q --offline
 
 echo "==> lint: clippy on every target, warnings are errors"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> docs: rustdoc warnings are errors (broken or stale intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> determinism: parallel sweep must equal serial bit-for-bit"
 cargo test -q --offline -p tcpburst-core --test parallel_determinism
