@@ -27,7 +27,7 @@
 //! table row — the CLI, its usage text and the programmatic API cannot
 //! drift apart.
 
-use tcpburst_des::{QueueBackend, SimDuration};
+use tcpburst_des::SimDuration;
 use tcpburst_net::{CapacityVariation, CrossTraffic, DelayVariation, Impairments, LinkFlap};
 use tcpburst_traffic::ParetoOnOffConfig;
 use tcpburst_transport::{
@@ -179,7 +179,7 @@ impl ScenarioBuilder {
     /// `--clients` lists) are not scenario configuration and stay in the
     /// CLI proper.
     #[rustfmt::skip]
-    pub const CLI_FLAGS: [CliFlag; 18] = [
+    pub const CLI_FLAGS: [CliFlag; 17] = [
         CliFlag { name: "--clients", metavar: Some("N"), help: "number of clients M", stage: BuilderStage::Topology },
         CliFlag { name: "--topology", metavar: Some("SPEC"), help: "dumbbell, parking-lot:H,F, incast:N or waxman:N,a,b", stage: BuilderStage::Topology },
         CliFlag { name: "--spread", metavar: Some("F"), help: "heterogeneous-RTT spread factor (0 = paper)", stage: BuilderStage::Topology },
@@ -194,7 +194,6 @@ impl ScenarioBuilder {
         CliFlag { name: "--secs", metavar: Some("S"), help: "simulated run length in seconds", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--warmup", metavar: Some("S"), help: "seconds excluded from the c.o.v. probe", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--seed", metavar: Some("K"), help: "master RNG seed", stage: BuilderStage::Instrumentation },
-        CliFlag { name: "--queue", metavar: Some("BACKEND"), help: "event list: calendar or heap", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--trace-events", metavar: None, help: "record the structured event timeline", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--trace-hops", metavar: None, help: "record per-hop queue/utilization series", stage: BuilderStage::Instrumentation },
         CliFlag { name: "--audit", metavar: None, help: "end-of-run invariant audit (conservation, cwnd floor)", stage: BuilderStage::Instrumentation },
@@ -649,12 +648,6 @@ impl InstrumentationStage<'_> {
         self
     }
 
-    /// Future-event-list backend.
-    pub fn queue(self, backend: QueueBackend) -> Self {
-        self.cfg.queue = backend;
-        self
-    }
-
     /// Record per-connection congestion-window traces.
     pub fn trace_cwnd(self, on: bool) -> Self {
         self.cfg.trace_cwnd = on;
@@ -701,19 +694,6 @@ impl InstrumentationStage<'_> {
                 let k = parse_num(flag, v)?;
                 self.seed(k);
             }
-            "--queue" => {
-                let backend = match v {
-                    "calendar" => QueueBackend::Calendar,
-                    "heap" => QueueBackend::BinaryHeap,
-                    other => {
-                        return Err(ConfigError::InvalidValue {
-                            flag,
-                            reason: format!("unknown queue backend: {other}"),
-                        })
-                    }
-                };
-                self.queue(backend);
-            }
             "--trace-events" => {
                 self.trace_events(true);
             }
@@ -740,7 +720,7 @@ mod tests {
             .workload(|w| w.cbr(50.0))
             .transport(|t| t.protocol(Protocol::VegasRed).ecn(true))
             .impairments(|i| i.flap(SimDuration::from_secs(3), SimDuration::from_secs(10)))
-            .instrumentation(|i| i.secs(12).seed(99).queue(QueueBackend::BinaryHeap))
+            .instrumentation(|i| i.secs(12).seed(99))
             .finish();
         assert_eq!(cfg.num_clients, 25);
         assert_eq!(cfg.params.gateway_buffer_pkts, 80);
@@ -756,7 +736,6 @@ mod tests {
         );
         assert_eq!(cfg.duration, SimDuration::from_secs(12));
         assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.queue, QueueBackend::BinaryHeap);
     }
 
     #[test]
@@ -773,7 +752,6 @@ mod tests {
         assert!(b.apply_cli_flag("--protocol", Some("vegas-red")).unwrap());
         assert!(b.apply_cli_flag("--impair", Some("corrupt:1e-4")).unwrap());
         assert!(b.apply_cli_flag("--secs", Some("7")).unwrap());
-        assert!(b.apply_cli_flag("--queue", Some("heap")).unwrap());
         assert!(b.apply_cli_flag("--ecn", None).unwrap());
         assert!(b.apply_cli_flag("--audit", None).unwrap());
         assert!(!b.apply_cli_flag("--jobs", Some("4")).unwrap());
@@ -783,7 +761,6 @@ mod tests {
         assert_eq!(cfg.gateway, GatewayKind::Red);
         assert_eq!(cfg.impair.corrupt_prob, 1e-4);
         assert_eq!(cfg.duration, SimDuration::from_secs(7));
-        assert_eq!(cfg.queue, QueueBackend::BinaryHeap);
         assert!(cfg.ecn);
         assert!(cfg.audit);
     }
@@ -861,7 +838,6 @@ mod tests {
             .to_string()
             .contains("--clients"));
         assert!(b.apply_cli_flag("--impair", Some("warp:9")).is_err());
-        assert!(b.apply_cli_flag("--queue", Some("splay")).is_err());
     }
 
     #[test]

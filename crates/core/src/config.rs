@@ -4,7 +4,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use tcpburst_des::{QueueBackend, SimDuration};
+use tcpburst_des::SimDuration;
 use tcpburst_net::{
     AdaptiveRedParams, DumbbellConfig, Impairments, QueueSpec, RedParams, TopologyError,
     TopologySpec,
@@ -509,11 +509,6 @@ pub struct ScenarioConfig {
     /// Deterministic fault-injection schedule; [`Impairments::NONE`] (the
     /// default) schedules nothing and keeps the healthy path zero-overhead.
     pub impair: Impairments,
-    /// Which data structure backs the future-event list. Both backends
-    /// produce bit-identical simulation output (same `(time, seq)` total
-    /// order); [`QueueBackend::BinaryHeap`] exists for A/B benchmarking
-    /// against the calendar queue.
-    pub queue: QueueBackend,
     /// Record per-connection congestion-window traces (Figures 5–12).
     pub trace_cwnd: bool,
     /// Record a structured event timeline (drops, timeouts, fast
@@ -566,7 +561,6 @@ impl ScenarioConfig {
             rtt_spread: 0.0,
             seed: 0x1CDC_2000,
             impair: Impairments::NONE,
-            queue: QueueBackend::Calendar,
             trace_cwnd: false,
             trace_events: false,
             trace_hops: false,

@@ -96,9 +96,8 @@ impl fmt::Display for DispatchProfile {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimerReport {
     /// Timer events that reached dispatch but were stale (superseded by a
-    /// re-arm or disarm after the queue deletion missed). Near zero on the
-    /// calendar backend; on the binary-heap backend this is every
-    /// superseded RTO/delayed-ACK firing.
+    /// re-arm or disarm after the queue deletion missed, e.g. a firing
+    /// already popped into the scheduler's same-timestamp batch). Near zero.
     pub stale_fired: u64,
     /// Scheduled events deleted from the queue in place before firing.
     pub cancelled_in_place: u64,

@@ -156,8 +156,7 @@ pub struct Scenario {
     /// Per-event-class dispatch counts (and timing with `event-timing` on).
     profile: DispatchProfile,
     /// Timer firings that reached dispatch but were stale — superseded
-    /// after the in-place queue deletion missed. Near zero on the calendar
-    /// backend; every superseded firing on the binary-heap backend.
+    /// after the in-place queue deletion missed. Near zero.
     stale_fired: u64,
     /// Host time spent inside [`Scenario::run_to_completion`], feeding the
     /// report's events/sec throughput counter.
@@ -248,7 +247,7 @@ impl Scenario {
         let num_hops = topo.hops.len();
         let mut scenario = Scenario {
             cfg: *cfg,
-            sched: Scheduler::with_capacity_and_backend(cfg.event_list_capacity(), cfg.queue),
+            sched: Scheduler::with_capacity(cfg.event_list_capacity()),
             topo,
             clients,
             servers,

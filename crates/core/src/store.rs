@@ -15,8 +15,8 @@
 //! The digest input is `"tcpburst-point-v{N}|{cfg:?}"` — the `Debug` form
 //! of [`ScenarioConfig`] is the repo's established stable serialization
 //! (the resume journal has always keyed on it) and covers *every* knob:
-//! protocol expansion, seed, duration, impairments, RED parameters, queue
-//! backend, audit flag. Two configurations that would provably produce the
+//! protocol expansion, seed, duration, impairments, RED parameters, audit
+//! flag. Two configurations that would provably produce the
 //! same result under different knobs still get distinct digests —
 //! conservative correctness over maximal hit rate. Invalidation is
 //! therefore automatic:
@@ -89,7 +89,7 @@ use crate::supervise::{run_point, RunBudget, RunError};
 /// every result-store entry and every resume journal at once — do so
 /// whenever a simulation change moves any reported number, or a change to
 /// [`ScenarioConfig`]'s fields moves every digest.
-pub const ENGINE_SCHEMA_VERSION: u32 = 6;
+pub const ENGINE_SCHEMA_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // SHA-256 (in-tree: the workspace builds fully offline, no external crates)

@@ -30,8 +30,8 @@
 //!   (`requeued_points`) and ends the connection (`worker_restarts`). A
 //!   dead local child is respawned while unclaimed points remain.
 //! * **Poisonous point.** A point whose workers die more than
-//!   `CRASH_RETRIES` (2) times is computed in-process instead, so it is
-//!   never lost.
+//!   `CRASH_RETRIES` (2) times is computed in-process instead
+//!   (`in_process_points`), so it is never lost.
 //! * **Silent worker.** TCP workers heartbeat (`hb` frames) while they
 //!   compute. A read deadline that passes with neither a reply nor a
 //!   heartbeat is a death (`heartbeat_misses`), and so is heartbeating
@@ -42,7 +42,8 @@
 //! * **No workers.** A local fleet that cannot spawn any child computes
 //!   in-process at once. The daemon first waits its grace period
 //!   ([`ExecTuning::grace`]), then computes in-process one point at a
-//!   time, so a late worker can still take over.
+//!   time, so a late worker can still take over. Either way each such
+//!   point counts in `in_process_points`.
 //!
 //! A point is resolved exactly once: a late duplicate reply for a point
 //! that is already resolved is discarded, so the journal never sees a
@@ -364,6 +365,10 @@ pub struct RobustnessCounters {
     /// Remote-worker re-registrations after backoff (resume handshakes
     /// accepted for a worker that reconnected).
     pub backoff_retries: u64,
+    /// Grid points computed in the sweep's own process instead of on a
+    /// worker: every point when no worker could start, and each point
+    /// whose workers kept dying.
+    pub in_process_points: u64,
 }
 
 impl RobustnessCounters {
@@ -379,6 +384,7 @@ impl RobustnessCounters {
         self.worker_restarts += other.worker_restarts;
         self.heartbeat_misses += other.heartbeat_misses;
         self.backoff_retries += other.backoff_retries;
+        self.in_process_points += other.in_process_points;
     }
 }
 
@@ -386,8 +392,13 @@ impl std::fmt::Display for RobustnessCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "requeued_points={} worker_restarts={} heartbeat_misses={} backoff_retries={}",
-            self.requeued_points, self.worker_restarts, self.heartbeat_misses, self.backoff_retries
+            "requeued_points={} worker_restarts={} heartbeat_misses={} backoff_retries={} \
+             in_process_points={}",
+            self.requeued_points,
+            self.worker_restarts,
+            self.heartbeat_misses,
+            self.backoff_retries,
+            self.in_process_points
         )
     }
 }
@@ -822,6 +833,7 @@ impl RunCtx<'_> {
 
     /// Computes point `j` in-process, with the same budget retries.
     fn run_local(&self, j: usize) {
+        self.count(|c| c.in_process_points += 1);
         loop {
             match (self.fallback)(j, &self.budget_for(j)) {
                 Ok(report) => return self.resolve(j, PointOutcome::Done(report)),
@@ -976,15 +988,18 @@ mod tests {
             worker_restarts: 2,
             heartbeat_misses: 0,
             backoff_retries: 3,
+            in_process_points: 4,
         };
         a.merge(&b);
         a.merge(&b);
         assert!(a.any());
         assert_eq!(a.requeued_points, 2);
         assert_eq!(a.backoff_retries, 6);
+        assert_eq!(a.in_process_points, 8);
         assert_eq!(
             b.to_string(),
-            "requeued_points=1 worker_restarts=2 heartbeat_misses=0 backoff_retries=3"
+            "requeued_points=1 worker_restarts=2 heartbeat_misses=0 backoff_retries=3 \
+             in_process_points=4"
         );
     }
 
@@ -1135,6 +1150,7 @@ mod tests {
         assert_eq!(r.sent.iter().filter(|(j, _)| *j == 2).count() as u64, deaths);
         assert_eq!(r.counters.requeued_points, deaths);
         assert_eq!(r.counters.worker_restarts, deaths);
+        assert_eq!(r.counters.in_process_points, 1);
     }
 
     #[test]

@@ -139,14 +139,15 @@ fn poisoned_entry_is_detected_and_recomputed() {
 /// Records written by older engines are never served: schema 3 (before
 /// the lazy transmit clock changed the `events` and `pending_peak` it
 /// stores), schema 4 (whose configurations still carried a `shards`
-/// field, so every digest differs) and schema 5 (before window-full
-/// senders absorbed their arrivals, which changed the stored event
-/// counts). None is served under its own schema's key, which a current
-/// lookup never asks for, nor relabelled into the current key's record.
+/// field, so every digest differs), schema 5 (before window-full senders
+/// absorbed their arrivals, which changed the stored event counts) and
+/// schema 6 (whose configurations still carried a `queue` backend field).
+/// None is served under its own schema's key, which a current lookup never
+/// asks for, nor relabelled into the current key's record.
 #[test]
 fn schema_3_entries_are_stale_and_never_reused() {
-    assert_eq!(ENGINE_SCHEMA_VERSION, 6);
-    for (stale, seed) in [(3u32, 41u64), (4, 43), (5, 47)] {
+    assert_eq!(ENGINE_SCHEMA_VERSION, 7);
+    for (stale, seed) in [(3u32, 41u64), (4, 43), (5, 47), (6, 53)] {
         let root = temp_store();
         let cfg = small_cfg(seed);
         let store = ResultStore::open(&root).expect("temp store is creatable");
@@ -154,12 +155,12 @@ fn schema_3_entries_are_stale_and_never_reused() {
             .expect("small scenario runs");
         let fresh_bytes = canonical_bytes(&fresh);
         let path = store.pack_path();
-        assert!(path.ends_with("results-v6.pack"), "one pack per schema");
+        assert!(path.ends_with("results-v7.pack"), "one pack per schema");
         let raw = fs::read_to_string(&path).expect("pack exists");
         assert_eq!(record_span(raw.as_bytes(), &cfg), 0..raw.len());
         let (header, payload) = raw.split_once('\n').expect("record has a header line");
         let fields: Vec<&str> = header.split(' ').collect();
-        assert_eq!(fields[1], "6", "records are stamped with the schema");
+        assert_eq!(fields[1], "7", "records are stamped with the schema");
 
         // The current record relabelled stale (checksums still valid),
         // then the same payload as a well-formed record under the stale
@@ -167,7 +168,7 @@ fn schema_3_entries_are_stale_and_never_reused() {
         let old = Digest::of(format!("tcpburst-point-v{stale}|{cfg:?}").as_bytes());
         let stale_pack = format!(
             "{}{} {stale} {} {} {}\n{payload}",
-            raw.replacen(" 6 ", &format!(" {stale} "), 1),
+            raw.replacen(" 7 ", &format!(" {stale} "), 1),
             fields[0],
             old.hex(),
             fields[3],

@@ -98,6 +98,41 @@ fn a_crashing_worker_loses_zero_points() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fleet whose every child dies before its `ready` frame cannot start a
+/// worker at all. The sweep still completes, in-process, with the serial
+/// tables, and the `robustness:` line says how many points it computed
+/// that way instead of falling back in silence.
+#[test]
+fn a_fleet_that_cannot_start_reports_its_in_process_points() {
+    let dir = temp_dir();
+    let sweep = ["sweep", "--clients", "5,15", "--secs", "3", "--no-cache"];
+
+    let serial = tcpburst(&dir, &sweep, &[]);
+    assert!(serial.status.success(), "in-process sweep fails: {serial:?}");
+
+    let mut forked = sweep.to_vec();
+    forked.extend_from_slice(&["--workers", "2"]);
+    let fallback = tcpburst(&dir, &forked, &[("TCPBURST_CHAOS", "kill@1")]);
+    let stderr = String::from_utf8_lossy(&fallback.stderr);
+    assert!(fallback.status.success(), "the fallback must not fail the sweep: {stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&fallback.stdout),
+        "the in-process fallback must reproduce the serial tables byte-for-byte"
+    );
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("robustness: "))
+        .unwrap_or_else(|| panic!("no robustness line: {stderr}"));
+    let last = line.split_whitespace().last().and_then(|kv| kv.split_once('='));
+    let Some(("in_process_points", n)) = last else {
+        panic!("in_process_points is not the last key: {line}");
+    };
+    assert!(n.parse::<u64>().expect("a count") > 0, "{line}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The pipe-worker contract external tools rely on: `tcpburst worker`
 /// (no `--connect`) sends `ready <engine schema>` as its first stdout
 /// frame, and exits 0 when its stdin closes.

@@ -1,4 +1,4 @@
-//! The calendar-queue backend of the future-event list.
+//! The calendar queue behind the future-event list.
 //!
 //! A calendar queue (Brown 1988) hashes events by time into an array of
 //! buckets — "days" on a calendar whose "year" spans `nbuckets × width`

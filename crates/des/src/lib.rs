@@ -5,15 +5,13 @@
 //! * [`SimTime`] / [`SimDuration`] — an integer-nanosecond virtual clock with
 //!   exact arithmetic (no floating-point drift in the event queue),
 //! * [`EventQueue`] — a priority queue of timestamped events with a
-//!   deterministic FIFO tie-break for simultaneous events; backed by a
-//!   calendar queue (O(1) amortized, supports in-place cancellation via
-//!   [`EventKey`]) with a [`QueueBackend::BinaryHeap`] reference backend for
-//!   A/B benchmarking,
+//!   deterministic FIFO tie-break for simultaneous events; a calendar queue
+//!   (O(1) amortized, supports in-place cancellation via [`EventKey`]),
 //! * [`Scheduler`] — the virtual clock plus the queue, i.e. the core
 //!   simulation loop driver,
 //! * [`TimerSlot`] — a cancellable/re-armable logical timer: eager in-place
-//!   deletion of superseded firings where the backend supports it, with
-//!   generation-counter filtering at delivery as the safety net,
+//!   deletion of superseded firings, with generation-counter filtering at
+//!   delivery for firings already in flight,
 //! * [`PhaseCycle`] — a repeating schedule of hold times (e.g. link
 //!   up/down flapping) driven by self-rescheduling events,
 //! * [`SimRng`] — a seeded, reproducible random-number source (an in-tree
@@ -51,7 +49,7 @@ mod scheduler;
 mod time;
 mod timer;
 
-pub use queue::{EventKey, EventQueue, QueueBackend};
+pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use scheduler::Scheduler;
 pub use time::{SimDuration, SimTime};

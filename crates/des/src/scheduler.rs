@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::queue::{EventKey, EventQueue, QueueBackend};
+use crate::queue::{EventKey, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// A discrete-event scheduler: a virtual clock plus a future-event list.
@@ -95,22 +95,13 @@ impl<E> Scheduler<E> {
     /// know their scale (e.g. a scenario with `M` clients) should pass a
     /// proportional capacity hint.
     pub fn with_capacity(capacity: usize) -> Self {
-        Scheduler::with_capacity_and_backend(capacity, QueueBackend::default())
-    }
-
-    /// Creates a scheduler on an explicit [`QueueBackend`].
-    ///
-    /// Both backends produce identical simulation output (same `(time, seq)`
-    /// total order); the choice only affects speed, and exists so benchmarks
-    /// can A/B the calendar queue against the binary-heap reference.
-    pub fn with_capacity_and_backend(capacity: usize, backend: QueueBackend) -> Self {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         /// Same-timestamp runs rarely exceed this; sizing the batch up front
         /// keeps its growth out of the steady-state loop.
         const BATCH_HINT: usize = 64;
         Scheduler {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            queue: EventQueue::with_capacity_and_backend(capacity, backend),
+            queue: EventQueue::with_capacity(capacity),
             batch: VecDeque::with_capacity(capacity.min(BATCH_HINT)),
             batch_floor: 0,
             now: SimTime::ZERO,
@@ -126,11 +117,6 @@ impl<E> Scheduler<E> {
     /// this first.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Which backend the future-event list runs on.
-    pub fn backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// Number of events the future-event list can hold without
@@ -259,11 +245,10 @@ impl<E> Scheduler<E> {
     /// Deletes a previously scheduled event before it pops, returning it.
     ///
     /// Returns `None` when the event already popped or was already
-    /// cancelled — and always on the [`QueueBackend::BinaryHeap`] backend,
-    /// which cannot delete interior entries (callers then fall back to lazy
-    /// generation-counter invalidation; see [`TimerSlot`](crate::TimerSlot)).
-    /// An event in the run [`pop_batched`](Scheduler::pop_batched) is
-    /// dispatching has already left the queue, so cancelling it misses too.
+    /// cancelled. An event in the run [`pop_batched`](Scheduler::pop_batched)
+    /// is dispatching has already left the queue, so cancelling it misses
+    /// too (callers then rely on lazy generation-counter invalidation; see
+    /// [`TimerSlot`](crate::TimerSlot)).
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
         self.queue.cancel(key)
     }

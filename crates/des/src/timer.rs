@@ -2,16 +2,18 @@
 //!
 //! Two cancellation strategies, layered:
 //!
-//! * **Lazy (generation counter).** Every (re)arm bumps a generation, the
-//!   generation is embedded in the scheduled event, and a firing whose
-//!   generation no longer matches is ignored. Works on any queue backend and
-//!   is the safety net for events that are already in flight.
 //! * **Eager (in-place deletion).** [`TimerSlot::schedule`] remembers the
 //!   [`EventKey`] of the queued firing; a re-arm or
 //!   [`TimerSlot::cancel_scheduled`] deletes the stale entry from the queue
 //!   on the spot, so dead timer events never travel through the hot loop at
-//!   all. On a backend that cannot delete (the binary heap), the deletion
-//!   misses harmlessly and the lazy layer picks up the slack.
+//!   all.
+//! * **Lazy (generation counter).** Every (re)arm bumps a generation, the
+//!   generation is embedded in the scheduled event, and a firing whose
+//!   generation no longer matches is ignored. It covers what the deletion
+//!   cannot reach: firings already in flight — out of the queue but not yet
+//!   dispatched, such as one popped into the scheduler's same-timestamp
+//!   batch — and firings scheduled through the lazy-only [`TimerSlot::arm`]
+//!   or left queued by [`TimerSlot::disarm`].
 
 use crate::queue::EventKey;
 use crate::scheduler::Scheduler;
@@ -25,7 +27,7 @@ use crate::time::{SimDuration, SimTime};
 /// itself after that phase's hold time. The cycle itself holds no clock —
 /// it only answers "which phase am I in, and how long does it last", so the
 /// schedule is driven entirely by ordinary scheduler events and stays
-/// bit-identical on every queue backend.
+/// bit-identical from run to run.
 ///
 /// # Example
 ///
@@ -169,8 +171,8 @@ impl TimerSlot {
     ///
     /// `make` builds the event from the fresh [`TimerGeneration`]; embed the
     /// token so [`TimerSlot::fires`] can validate the firing when it pops
-    /// (the lazy safety net still applies if the deletion missed, e.g. on
-    /// the binary-heap backend).
+    /// (the lazy check still applies if the deletion missed, e.g. a firing
+    /// already popped into the scheduler's batch).
     pub fn schedule<E>(
         &mut self,
         sched: &mut Scheduler<E>,
@@ -239,9 +241,8 @@ impl TimerSlot {
         // Keep `key`: a later `schedule` can still reap the dead entry.
     }
 
-    /// Cancels the timer and deletes its queued firing in place, if the
-    /// backend supports deletion (the lazy generation check covers the
-    /// rest).
+    /// Cancels the timer and deletes its queued firing in place (the lazy
+    /// generation check covers a firing already in flight).
     pub fn cancel_scheduled<E>(&mut self, sched: &mut Scheduler<E>) {
         self.cancel_queued(sched);
         self.disarm();

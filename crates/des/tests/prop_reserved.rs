@@ -14,7 +14,7 @@
 //! being dispatched and after its last event.
 
 use proptest::prelude::*;
-use tcpburst_des::{QueueBackend, Scheduler, SimDuration, SimTime};
+use tcpburst_des::{Scheduler, SimDuration, SimTime};
 
 /// Events the generator may create per case.
 const BUDGET: u64 = 300;
@@ -51,14 +51,9 @@ enum Mode {
 
 /// Replays the schedule and returns `(time, seq, event)` per dispatch
 /// plus the ids of slots left unfilled.
-fn replay(
-    seed: u64,
-    starts: &[u64],
-    backend: QueueBackend,
-    mode: Mode,
-) -> (Vec<(SimTime, u64, Ev)>, Vec<u64>) {
+fn replay(seed: u64, starts: &[u64], mode: Mode) -> (Vec<(SimTime, u64, Ev)>, Vec<u64>) {
     let tick = SimDuration::from_micros;
-    let mut sched: Scheduler<Ev> = Scheduler::with_capacity_and_backend(0, backend);
+    let mut sched: Scheduler<Ev> = Scheduler::new();
     let mut next_id = 0u64;
     for &t in starts {
         sched.schedule_at(SimTime::ZERO + tick(t), Ev::Work(next_id));
@@ -126,17 +121,15 @@ proptest! {
         seed in 0u64..u64::MAX,
         starts in proptest::collection::vec(0u64..4, 1..12),
     ) {
-        for backend in [QueueBackend::Calendar, QueueBackend::BinaryHeap] {
-            let (eager, _) = replay(seed, &starts, backend, Mode::EagerSinglePop);
-            for mode in [Mode::LazySinglePop, Mode::LazyBatched] {
-                let (lazy, unfilled) = replay(seed, &starts, backend, mode);
-                let expected: Vec<_> = eager
-                    .iter()
-                    .filter(|(_, _, ev)| !matches!(ev, Ev::Slot(id) if unfilled.contains(id)))
-                    .copied()
-                    .collect();
-                prop_assert_eq!(&lazy, &expected, "lazy fills changed the dispatch order");
-            }
+        let (eager, _) = replay(seed, &starts, Mode::EagerSinglePop);
+        for mode in [Mode::LazySinglePop, Mode::LazyBatched] {
+            let (lazy, unfilled) = replay(seed, &starts, mode);
+            let expected: Vec<_> = eager
+                .iter()
+                .filter(|(_, _, ev)| !matches!(ev, Ev::Slot(id) if unfilled.contains(id)))
+                .copied()
+                .collect();
+            prop_assert_eq!(&lazy, &expected, "lazy fills changed the dispatch order");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! while the scenario layer above schedules the perturbations as ordinary
 //! simulation events. Everything is seed-driven and executes in the event
 //! queue's deterministic `(time, seq)` order, so impaired runs stay
-//! bit-identical across worker counts and queue backends.
+//! bit-identical across worker counts.
 //!
 //! The compact spec grammar (used by the `--impair` CLI flag) is a
 //! comma-separated list of clauses:

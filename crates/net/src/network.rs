@@ -19,8 +19,8 @@ use crate::queue::{AnyQueue, EnqueueOutcome};
 /// serialization started. A link going down bumps its epoch, so events
 /// stamped before the outage arrive stale and the network discards them —
 /// that is how "in-flight packets on a downed link are dropped" is
-/// expressed without deleting interior queue entries (which the binary-heap
-/// backend cannot do; lazy invalidation keeps both backends bit-identical).
+/// expressed without finding and deleting every in-flight event of the
+/// link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NetEvent {
     /// A link finished serializing its current packet and may start the next.

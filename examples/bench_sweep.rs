@@ -16,9 +16,8 @@
 //! ```
 //!
 //! Every variant is checked against the serial run bit-for-bit: threading,
-//! forking, and caching must not change the answer. The `crates/bench`
-//! criterion harness needs registry access; this example builds offline
-//! and is what `scripts/verify.sh` runs in CI.
+//! forking, and caching must not change the answer. This example is what
+//! `scripts/verify.sh` runs in CI.
 //!
 //! ```sh
 //! cargo run --release --example bench_sweep

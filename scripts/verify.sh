@@ -142,29 +142,30 @@ diff "$TMP/svc_serial.txt" "$TMP/svc_chaos.txt"
 diff "$TMP/svc_serial.jsonl" "$TMP/svc_chaos.jsonl"
 echo "remote-worker kill requeued cleanly; tables and journal byte-identical"
 
-echo "==> golden traces: figure tables are backend- and variant-stable"
-# Reno + Vegas, 20-client smoke, on both event-queue backends and at two
-# worker counts: the policy-layer refactor must never move a byte of the
-# figure tables, whatever engine configuration produced them.
+echo "==> golden traces: figure tables are job-count- and variant-stable"
+# Reno + Vegas, 20-client smoke, at two worker counts: the policy-layer
+# refactor must never move a byte of the figure tables, whatever engine
+# configuration produced them. --no-cache, or the second sweep would be
+# served from the first one's stored points.
 ./target/release/tcpburst sweep --protocols reno,vegas --clients 20 \
-    --secs 4 --queue calendar --jobs 1 > "$TMP/golden_cal.txt"
+    --secs 4 --no-cache --jobs 1 > "$TMP/golden_j1.txt"
 ./target/release/tcpburst sweep --protocols reno,vegas --clients 20 \
-    --secs 4 --queue heap --jobs 4 > "$TMP/golden_heap.txt"
-diff "$TMP/golden_cal.txt" "$TMP/golden_heap.txt"
-echo "Reno+Vegas tables byte-identical across backends and job counts"
+    --secs 4 --no-cache --jobs 4 > "$TMP/golden_j4.txt"
+diff "$TMP/golden_j1.txt" "$TMP/golden_j4.txt"
+echo "Reno+Vegas tables byte-identical across job counts"
 
-echo "==> topologies: parking-lot sweep is backend- and job-count-stable"
+echo "==> topologies: parking-lot sweep is job-count-stable"
 # The generic graph path must be as deterministic as the dumbbell it
-# replaced: a multi-bottleneck chain swept on both event-queue backends at
-# two worker counts may not move a byte.
+# replaced: a multi-bottleneck chain swept at two worker counts (uncached)
+# may not move a byte.
 ./target/release/tcpburst sweep --topology parking-lot:3,2 \
     --protocols reno,vegas --clients 6 --secs 4 \
-    --queue calendar --jobs 1 > "$TMP/pl_cal.txt"
+    --no-cache --jobs 1 > "$TMP/pl_j1.txt"
 ./target/release/tcpburst sweep --topology parking-lot:3,2 \
     --protocols reno,vegas --clients 6 --secs 4 \
-    --queue heap --jobs 4 > "$TMP/pl_heap.txt"
-diff "$TMP/pl_cal.txt" "$TMP/pl_heap.txt"
-echo "parking-lot tables byte-identical across backends and job counts"
+    --no-cache --jobs 4 > "$TMP/pl_j4.txt"
+diff "$TMP/pl_j1.txt" "$TMP/pl_j4.txt"
+echo "parking-lot tables byte-identical across job counts"
 
 echo "==> topologies: incast + waxman + per-hop tracing CLI smoke"
 ./target/release/tcpburst run --topology incast:8 --secs 3 \
@@ -273,7 +274,7 @@ fi
 echo "engine crates dispatch via enums, no trait objects"
 
 if [ "${BENCH:-1}" = "1" ]; then
-    echo "==> event engine: bench_des smoke (calendar vs binary heap)"
+    echo "==> event engine: bench_des smoke (calibrated scenario, alloc windows, hold model)"
     cargo run --release --offline --example bench_des -- --smoke
     # The smoke run must have produced parseable JSON with a real
     # (nonzero) events/s measurement in it.
@@ -282,15 +283,15 @@ if [ "${BENCH:-1}" = "1" ]; then
 import json
 with open("BENCH_des_smoke.json") as f:
     data = json.load(f)
-for side in ("calendar", "binary_heap"):
-    eps = data["scenario"][side]["events_per_sec"]
-    assert eps > 0, f"{side}: events_per_sec is zero"
-    rate = data["scenario"][side]["sim_secs_per_wall_s"]
-    assert rate > 0, f"{side}: sim_secs_per_wall_s is zero"
+scenario = data["scenario"]
+for key in ("events_per_sec", "sim_secs_per_wall_s", "calib_s", "sim_secs_per_calib"):
+    assert scenario[key] > 0, f"scenario: {key} is zero"
 alloc = data["alloc_check"]
 assert alloc["steady_allocs"] <= alloc["ceiling"], "steady-state alloc over ceiling"
+assert alloc["first_window_allocs"] >= 0, "first alloc window missing"
 assert alloc["total_events"] > 0, "alloc check processed no events"
 assert data["hold_model"], "hold_model series is empty"
+assert all(h["ops_per_sec"] > 0 for h in data["hold_model"]), "hold model reads zero"
 print("BENCH_des_smoke.json: valid JSON; scenario, alloc_check, hold_model OK")
 EOF
     else
@@ -335,7 +336,7 @@ EOF
              "(python3 unavailable, grep check)"
     fi
 
-    echo "==> zero overhead: disabled impairments within 10% of host-adjusted BENCH_des.json"
+    echo "==> zero overhead: disabled impairments within 10% of calibrated BENCH_des.json"
     cargo run --release --offline --example bench_des -- --regress
 fi
 

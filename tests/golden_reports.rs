@@ -12,9 +12,8 @@
 //! The scenarios are chosen for exact-tie density: 64 clients overload the
 //! 3 Mbps bottleneck, so equal-rate links hand packets over at exactly the
 //! instant a serialization ends, and any change to same-instant dispatch
-//! order shows up as a different report. Each queue backend has its own
-//! goldens (the binary heap cannot cancel timers in place, so its timer
-//! counters differ), checked at one and four jobs.
+//! order shows up as a different report. Each golden is checked at one and
+//! four jobs.
 //!
 //! To re-bless after an *intentional* change to the simulated physics:
 //!
@@ -25,18 +24,17 @@
 use tcpburst_core::{
     codec, parallel, Protocol, Scenario, ScenarioBuilder, ScenarioConfig, TopoKind,
 };
-use tcpburst_des::QueueBackend;
 
 const SECS: u64 = 20;
 const CLIENTS: usize = 64;
 
 /// `(golden file stem, configuration)` for every pinned run.
-fn cases(queue: QueueBackend) -> Vec<(&'static str, ScenarioConfig)> {
+fn cases() -> Vec<(&'static str, ScenarioConfig)> {
     let dumbbell = |protocol: Protocol| {
         ScenarioBuilder::paper()
             .topology(|t| t.clients(CLIENTS))
             .transport(|t| t.protocol(protocol))
-            .instrumentation(|i| i.secs(SECS).queue(queue))
+            .instrumentation(|i| i.secs(SECS))
             .finish()
     };
     let parking_lot = ScenarioBuilder::paper()
@@ -47,7 +45,7 @@ fn cases(queue: QueueBackend) -> Vec<(&'static str, ScenarioConfig)> {
             })
         })
         .transport(|t| t.protocol(Protocol::Reno))
-        .instrumentation(|i| i.secs(SECS).queue(queue))
+        .instrumentation(|i| i.secs(SECS))
         .finish();
     vec![
         ("reno_64", dumbbell(Protocol::Reno)),
@@ -77,18 +75,14 @@ fn physics(payload: &str) -> String {
     out
 }
 
-fn golden_path(stem: &str, queue: QueueBackend) -> std::path::PathBuf {
-    let backend = match queue {
-        QueueBackend::Calendar => "calendar",
-        QueueBackend::BinaryHeap => "heap",
-    };
+fn golden_path(stem: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join(format!("../../tests/golden/report_{stem}_{backend}.txt"))
+        .join(format!("../../tests/golden/report_{stem}.txt"))
 }
 
 /// Runs every case at `jobs` and returns `(stem, physics payload)` pairs.
-fn run_cases(queue: QueueBackend, jobs: usize) -> Vec<(&'static str, String)> {
-    let cases = cases(queue);
+fn run_cases(jobs: usize) -> Vec<(&'static str, String)> {
+    let cases = cases();
     let reports = parallel::run_indexed(jobs, cases.len(), |i| Scenario::run(&cases[i].1));
     cases
         .iter()
@@ -100,9 +94,9 @@ fn run_cases(queue: QueueBackend, jobs: usize) -> Vec<(&'static str, String)> {
         .collect()
 }
 
-fn check(queue: QueueBackend, jobs: usize) {
-    for (stem, got) in run_cases(queue, jobs) {
-        let path = golden_path(stem, queue);
+fn check(jobs: usize) {
+    for (stem, got) in run_cases(jobs) {
+        let path = golden_path(stem);
         if std::env::var("BLESS_GOLDEN").is_ok() {
             std::fs::write(&path, &got).unwrap();
             continue;
@@ -115,7 +109,7 @@ fn check(queue: QueueBackend, jobs: usize) {
         });
         assert!(
             got == want,
-            "{stem} on {queue:?} at jobs={jobs} diverged from {}",
+            "{stem} at jobs={jobs} diverged from {}",
             path.display()
         );
     }
@@ -123,14 +117,8 @@ fn check(queue: QueueBackend, jobs: usize) {
 
 #[test]
 fn full_reports_match_goldens_calendar() {
-    check(QueueBackend::Calendar, 1);
-    check(QueueBackend::Calendar, 4);
-}
-
-#[test]
-fn full_reports_match_goldens_binary_heap() {
-    check(QueueBackend::BinaryHeap, 1);
-    check(QueueBackend::BinaryHeap, 4);
+    check(1);
+    check(4);
 }
 
 #[test]

@@ -14,13 +14,11 @@
 //! BLESS_GOLDEN=1 cargo test --test golden_traces
 //! ```
 //!
-//! A second test asserts the tables are invariant across the two event-queue
-//! backends and across `--jobs` 1 vs 4, so the golden file pins all four
-//! execution modes at once.
+//! A second test asserts the tables are invariant across `--jobs` 1 vs 4,
+//! so the golden file pins both execution modes at once.
 
 use tcpburst_core::experiments::Sweep;
 use tcpburst_core::{Protocol, ScenarioBuilder};
-use tcpburst_des::QueueBackend;
 
 /// All five TCP variants, in canonical order.
 const VARIANTS: [Protocol; 5] = [
@@ -46,9 +44,9 @@ fn modern_golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/modern_tables.txt")
 }
 
-fn figure_tables(protocols: &[Protocol], queue: QueueBackend, jobs: usize) -> String {
+fn figure_tables(protocols: &[Protocol], jobs: usize) -> String {
     let base = ScenarioBuilder::paper()
-        .instrumentation(|i| i.secs(SECS).queue(queue))
+        .instrumentation(|i| i.secs(SECS))
         .finish();
     let sweep = Sweep::run_with_jobs_from(&base, protocols, &CLIENTS, jobs);
     format!(
@@ -62,7 +60,7 @@ fn figure_tables(protocols: &[Protocol], queue: QueueBackend, jobs: usize) -> St
 
 #[test]
 fn five_variants_match_golden_tables() {
-    let got = figure_tables(&VARIANTS, QueueBackend::Calendar, 1);
+    let got = figure_tables(&VARIANTS, 1);
     let path = golden_path();
     if std::env::var("BLESS_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -84,8 +82,8 @@ fn five_variants_match_golden_tables() {
 /// width-preserving ` GAIMD` → `  Reno` label swap).
 #[test]
 fn gaimd_default_exponents_reproduce_reno_tables() {
-    let reno = figure_tables(&[Protocol::Reno], QueueBackend::Calendar, 1);
-    let gaimd = figure_tables(&[Protocol::Gaimd], QueueBackend::Calendar, 1);
+    let reno = figure_tables(&[Protocol::Reno], 1);
+    let gaimd = figure_tables(&[Protocol::Gaimd], 1);
     assert_eq!(
         gaimd.replace(" GAIMD", "  Reno"),
         reno,
@@ -95,23 +93,16 @@ fn gaimd_default_exponents_reproduce_reno_tables() {
 
 #[test]
 fn tables_invariant_across_backends_and_jobs() {
-    let reference = figure_tables(&VARIANTS, QueueBackend::Calendar, 1);
-    for (queue, jobs) in [
-        (QueueBackend::Calendar, 4),
-        (QueueBackend::BinaryHeap, 1),
-        (QueueBackend::BinaryHeap, 4),
-    ] {
-        assert_eq!(
-            figure_tables(&VARIANTS, queue, jobs),
-            reference,
-            "figure tables differ for {queue:?} with jobs={jobs}"
-        );
-    }
+    assert_eq!(
+        figure_tables(&VARIANTS, 4),
+        figure_tables(&VARIANTS, 1),
+        "figure tables differ with jobs=4"
+    );
 }
 
 #[test]
 fn modern_variants_match_golden_tables() {
-    let got = figure_tables(&MODERN, QueueBackend::Calendar, 1);
+    let got = figure_tables(&MODERN, 1);
     let path = modern_golden_path();
     if std::env::var("BLESS_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -128,20 +119,13 @@ fn modern_variants_match_golden_tables() {
 }
 
 /// Cubic, HSTCP and BBR (the one paced policy, so its burst timing rides
-/// the paced-send timer path) must be bit-identical across the two event
-/// queue backends and across `--jobs` 1 vs 4, exactly like the legacy set.
+/// the paced-send timer path) must be bit-identical across `--jobs` 1 vs 4,
+/// exactly like the legacy set.
 #[test]
 fn modern_tables_invariant_across_backends_and_jobs() {
-    let reference = figure_tables(&MODERN, QueueBackend::Calendar, 1);
-    for (queue, jobs) in [
-        (QueueBackend::Calendar, 4),
-        (QueueBackend::BinaryHeap, 1),
-        (QueueBackend::BinaryHeap, 4),
-    ] {
-        assert_eq!(
-            figure_tables(&MODERN, queue, jobs),
-            reference,
-            "modern figure tables differ for {queue:?} with jobs={jobs}"
-        );
-    }
+    assert_eq!(
+        figure_tables(&MODERN, 4),
+        figure_tables(&MODERN, 1),
+        "modern figure tables differ with jobs=4"
+    );
 }

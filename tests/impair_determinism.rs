@@ -2,15 +2,14 @@
 //!
 //! The impairment schedule (link flaps, wire corruption, cross-traffic) is
 //! executed as ordinary scheduler events, so an impaired sweep has to stay
-//! **bit-identical** for every `--jobs` value and across both event-list
-//! backends — exactly like a healthy one. The property test at the bottom
-//! pins the semantics the counters summarize: a downed link delivers
-//! nothing while it is dark.
+//! **bit-identical** for every `--jobs` value — exactly like a healthy
+//! one. The property test at the bottom pins the semantics the counters
+//! summarize: a downed link delivers nothing while it is dark.
 
 use proptest::prelude::*;
 use tcpburst_core::experiments::Sweep;
-use tcpburst_core::{Protocol, Scenario, ScenarioBuilder, ScenarioConfig};
-use tcpburst_des::{QueueBackend, Scheduler, SimDuration, SimTime};
+use tcpburst_core::{Protocol, ScenarioBuilder, ScenarioConfig};
+use tcpburst_des::{Scheduler, SimDuration, SimTime};
 use tcpburst_net::{
     Delivered, DropTailQueue, Ecn, FlowId, NetEvent, Network, Packet, PacketKind,
 };
@@ -54,28 +53,6 @@ fn impaired_sweep_is_bit_identical_across_thread_counts() {
             assert_eq!(a.report.impairments, b.report.impairments);
         }
     }
-}
-
-#[test]
-fn impaired_run_is_identical_across_queue_backends() {
-    let base = impaired_base(8, 3);
-    let run = |backend| {
-        let cfg = ScenarioBuilder::from_config(base)
-            .instrumentation(|i| i.queue(backend))
-            .finish();
-        Scenario::run(&cfg)
-    };
-    let cal = run(QueueBackend::Calendar);
-    let heap = run(QueueBackend::BinaryHeap);
-    assert!(cal.impairments.link_down_events > 0);
-    assert!(cal.impairments.cross_injected > 0);
-    // The backends differ in how they carry superseded timers, never in
-    // what the simulated world does.
-    assert_eq!(cal.cov.to_bits(), heap.cov.to_bits());
-    assert_eq!(cal.delivered_packets, heap.delivered_packets);
-    assert_eq!(cal.generated_packets, heap.generated_packets);
-    assert_eq!(cal.loss_percent.to_bits(), heap.loss_percent.to_bits());
-    assert_eq!(cal.impairments, heap.impairments);
 }
 
 #[derive(Debug)]
