@@ -81,11 +81,14 @@ ROBUSTNESS (supervision and watchdog budgets):
                            (budgets apply to `run` too: the partial report
                            prints, marked PARTIAL RUN, and the exit is
                            nonzero)
-    --journal PATH         append each completed sweep point to a JSONL
-                           journal (truncates PATH)
-    --resume PATH          skip points already in the journal; the output is
-                           byte-identical to an uninterrupted sweep (a
-                           journal from another engine schema is refused)
+    --journal PATH         append each completed sweep point, with its full
+                           report (wall clock excepted), to a JSONL journal
+                           (truncates PATH)
+    --resume PATH          restore points already in the journal as full
+                           reports; the output is byte-identical to an
+                           uninterrupted sweep (a journal from another engine
+                           schema or an older format is refused; traced
+                           sweeps journal no points and re-run them)
 
 SWEEP SERVICE (distributed fan-out over TCP):
     serve                  long-running daemon: accepts sweep jobs and

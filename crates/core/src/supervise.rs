@@ -25,13 +25,17 @@
 //!
 //! Completed points are journalled as one JSONL line each
 //! ([`RunJournal`]), keyed by the content-addressed store digest of the
-//! point's full configuration (see [`crate::store`]), so
-//! `tcpburst sweep --resume <journal>` skips finished points and
-//! reproduces the fresh run's figure tables byte-for-byte at any `--jobs`.
+//! point's full configuration (see [`crate::store`]). Each line carries the
+//! point's full report as the same [`codec`] payload the result store and
+//! the worker frames use, with only the host wall clock left out, so
+//! `tcpburst sweep --resume <journal>` restores finished points as full
+//! reports, needing neither the store nor a re-run, and reproduces the
+//! fresh run's figure tables byte-for-byte at any `--jobs`. Reports the
+//! codec refuses (trace captures) get no line and re-run on resume.
 //! A journal's header carries the engine schema it was written under, and
-//! a journal from another schema — or from the pre-digest format 1, which
-//! carries none — is rejected, never resumed. A journal whose every point
-//! completed is *finalized*:
+//! a journal from another schema, or in an older format (1 carried no
+//! schema, 2 only the figure-table fields), is rejected, never resumed. A
+//! journal whose every point completed is *finalized*:
 //! atomically rewritten in canonical grid order, so an interrupted-then-
 //! resumed sweep leaves the byte-identical journal an uninterrupted run
 //! would have.
@@ -45,15 +49,16 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use tcpburst_des::{SimDuration, SimTime};
+use tcpburst_des::SimDuration;
 
+use crate::codec;
 use crate::config::{Protocol, ScenarioConfig};
 use crate::experiments::{Sweep, SweepCell};
 use crate::report::ScenarioReport;
@@ -464,62 +469,46 @@ impl Supervisor {
 // ---------------------------------------------------------------------------
 
 const JOURNAL_MAGIC: &str = "tcpburst-sweep";
-const JOURNAL_VERSION: u32 = 2;
+const JOURNAL_VERSION: u32 = 3;
 
-/// Splits a flat one-line JSON object into `(key, raw value)` pairs. Only
-/// handles the journal's own output (no nesting, no commas inside values),
-/// which is all the resume path ever reads.
+/// Splits a flat one-line JSON object into `(key, value)` pairs, string
+/// values without their quotes. Only handles the journal's own output (no
+/// nesting, no escaped quotes, no commas inside values), which is all the
+/// resume path ever reads.
 fn json_fields(line: &str) -> Option<Vec<(&str, &str)>> {
     let inner = line.trim().strip_prefix('{')?.strip_suffix('}')?;
     let mut out = Vec::new();
     for part in inner.split(',') {
         let (k, v) = part.split_once(':')?;
         let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-        out.push((k, v.trim()));
+        let v = v.trim();
+        out.push((k, v.strip_prefix('"').and_then(|v| v.strip_suffix('"')).unwrap_or(v)));
     }
     Some(out)
 }
 
-fn unquote(v: &str) -> Option<&str> {
-    v.strip_prefix('"')?.strip_suffix('"')
-}
-
-/// One journalled grid point: the figure-table metrics of a completed run.
+/// One journalled grid point: its coordinates and its full report, as the
+/// exact [`codec`] payload the result store and the worker frames carry.
 ///
-/// Floating-point fields are written with Rust's shortest-round-trip
-/// `Display` and parsed back with `str::parse`, which is exact — a resumed
-/// sweep renders the same table bytes as the fresh run.
-#[derive(Debug, Clone, PartialEq)]
+/// The report is encoded with `wall_clock_secs` zeroed. That host timing is
+/// the payload's one run-dependent field; leaving it out keeps a finalized
+/// journal a deterministic artifact. A resumed point's report is otherwise
+/// bit-identical to the run that journalled it.
+#[derive(Debug, Clone)]
 pub struct JournalEntry {
     /// The point's key: the hex of its configuration's
     /// [`store::point_digest`] (64 hex digits).
-    pub key: String,
-    /// Protocol of the point.
-    pub protocol: Protocol,
-    /// Client count of the point.
-    pub clients: usize,
-    /// Seed of the point.
-    pub seed: u64,
-    /// Measured c.o.v. (Figure 2).
-    pub cov: f64,
-    /// Analytic Poisson reference c.o.v.
-    pub poisson_cov: f64,
-    /// Packets generated.
-    pub generated: u64,
-    /// Packets delivered (Figure 3).
-    pub delivered: u64,
-    /// Gateway loss percentage (Figure 4).
-    pub loss_percent: f64,
-    /// TCP timeouts (Figure 13 numerator).
-    pub timeouts: u64,
-    /// TCP fast retransmits (Figure 13 denominator).
-    pub fast_retransmits: u64,
-    /// Scheduler events the run processed.
-    pub events: u64,
+    key: String,
+    protocol: Protocol,
+    clients: usize,
+    seed: u64,
+    /// The codec payload; `None` for a report the codec refuses (trace
+    /// payloads), which gets no journal line and re-runs on resume.
+    payload: Option<String>,
 }
 
 impl JournalEntry {
-    /// Captures the journalled metrics of one completed run.
+    /// Captures one completed run's report.
     pub fn from_report(
         key: String,
         protocol: Protocol,
@@ -527,101 +516,40 @@ impl JournalEntry {
         seed: u64,
         report: &ScenarioReport,
     ) -> Self {
+        let payload = codec::encode(&ScenarioReport {
+            wall_clock_secs: 0.0,
+            ..report.clone()
+        });
         JournalEntry {
             key,
             protocol,
             clients,
             seed,
-            cov: report.cov,
-            poisson_cov: report.poisson_cov,
-            generated: report.generated_packets,
-            delivered: report.delivered_packets,
-            loss_percent: report.loss_percent,
-            timeouts: report.tcp_totals.timeouts,
-            fast_retransmits: report.tcp_totals.fast_retransmits,
-            events: report.events_processed,
+            payload,
         }
     }
 
-    /// One JSONL line (no trailing newline), stamped with the engine's
-    /// `schema_version`.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"key\":\"{}\",\"schema_version\":{ENGINE_SCHEMA_VERSION},\
-             \"protocol\":\"{}\",\"clients\":{},\"seed\":{},\
-             \"cov\":{},\"poisson_cov\":{},\"generated\":{},\"delivered\":{},\
-             \"loss_percent\":{},\"timeouts\":{},\"fast_retransmits\":{},\"events\":{}}}",
+    /// The entry's JSONL line, newline included, with the payload's
+    /// newlines escaped (a payload holds no `"`, `,` or `\`); `None` when
+    /// the report had no payload.
+    fn to_line(&self) -> Option<String> {
+        Some(format!(
+            "{{\"key\":\"{}\",\"protocol\":\"{}\",\"clients\":{},\"seed\":{},\"report\":\"{}\"}}\n",
             self.key,
             self.protocol.cli_name(),
             self.clients,
             self.seed,
-            self.cov,
-            self.poisson_cov,
-            self.generated,
-            self.delivered,
-            self.loss_percent,
-            self.timeouts,
-            self.fast_retransmits,
-            self.events,
-        )
+            self.payload.as_ref()?.replace('\n', "\\n"),
+        ))
     }
 
-    /// Parses one journal line; `None` for malformed (e.g. truncated) lines.
-    pub fn parse(line: &str) -> Option<JournalEntry> {
+    /// Parses one journal line into its key and decoded report; `None` for
+    /// a malformed (e.g. truncated) line.
+    fn parse(line: &str) -> Option<(String, ScenarioReport)> {
         let fields = json_fields(line)?;
         let get = |name: &str| fields.iter().find(|(k, _)| *k == name).map(|(_, v)| *v);
-        // `schema_version` is validated at the journal level (header), not
-        // per line.
-        Some(JournalEntry {
-            key: unquote(get("key")?)?.to_string(),
-            protocol: unquote(get("protocol")?)?.parse().ok()?,
-            clients: get("clients")?.parse().ok()?,
-            seed: get("seed")?.parse().ok()?,
-            cov: get("cov")?.parse().ok()?,
-            poisson_cov: get("poisson_cov")?.parse().ok()?,
-            generated: get("generated")?.parse().ok()?,
-            delivered: get("delivered")?.parse().ok()?,
-            loss_percent: get("loss_percent")?.parse().ok()?,
-            timeouts: get("timeouts")?.parse().ok()?,
-            fast_retransmits: get("fast_retransmits")?.parse().ok()?,
-            events: get("events")?.parse().ok()?,
-        })
-    }
-
-    /// Rebuilds a stub [`ScenarioReport`] carrying exactly the fields the
-    /// figure tables render; everything else is zeroed. Good enough to make
-    /// a resumed sweep's output byte-identical, *not* a full report.
-    pub fn reconstruct_report(&self) -> ScenarioReport {
-        use tcpburst_stats::BinnedCounter;
-        let probe = BinnedCounter::new(SimDuration::from_millis(1));
-        ScenarioReport {
-            cov: self.cov,
-            poisson_cov: self.poisson_cov,
-            bins: probe.finish(SimTime::ZERO),
-            generated_packets: self.generated,
-            delivered_packets: self.delivered,
-            loss_percent: self.loss_percent,
-            bottleneck_queue: Default::default(),
-            avg_queue_len: 0.0,
-            mean_delay_secs: 0.0,
-            fairness: 0.0,
-            tcp_totals: tcpburst_transport::TcpCounters {
-                timeouts: self.timeouts,
-                fast_retransmits: self.fast_retransmits,
-                ..Default::default()
-            },
-            flows: Vec::new(),
-            duration_secs: 0.0,
-            events_processed: self.events,
-            wall_clock_secs: 0.0,
-            timers: Default::default(),
-            dispatch: Default::default(),
-            event_log: None,
-            hop_series: None,
-            impairments: Default::default(),
-            audit: None,
-            budget_exceeded: None,
-        }
+        let report = codec::decode(&get("report")?.replace("\\n", "\n"))?;
+        Some((get("key")?.to_string(), report))
     }
 }
 
@@ -673,14 +601,14 @@ impl RunJournal {
     }
 
     /// Opens an existing journal for resumption: validates the header's
-    /// format, engine schema and sweep digest, parses every well-formed
-    /// entry (a truncated last line — the kill case — is skipped), and
-    /// reopens the file in append mode for the remaining points. A rejected
-    /// journal is left untouched.
+    /// format, engine schema and sweep digest, decodes every well-formed
+    /// entry into its full report, keyed by point digest (a truncated last
+    /// line, the kill case, is skipped), and reopens the file in append
+    /// mode for the remaining points. A rejected journal is left untouched.
     pub fn resume(
         path: &Path,
         sweep: &Digest,
-    ) -> Result<(RunJournal, Vec<JournalEntry>), RunError> {
+    ) -> Result<(RunJournal, HashMap<String, ScenarioReport>), RunError> {
         let bad = |message: String| RunError::Io {
             path: path.to_path_buf(),
             message,
@@ -693,19 +621,19 @@ impl RunJournal {
         };
         let fields = json_fields(&header).unwrap_or_default();
         let get = |name: &str| fields.iter().find(|(k, _)| *k == name).map(|(_, v)| *v);
-        if get("journal").and_then(unquote) != Some(JOURNAL_MAGIC) {
+        if get("journal") != Some(JOURNAL_MAGIC) {
             return Err(bad("not a tcpburst sweep journal".to_string()));
         }
         let version = get("version").and_then(|v| v.parse::<u32>().ok());
-        let recorded = get("sweep").and_then(unquote).unwrap_or_default();
+        let recorded = get("sweep").unwrap_or_default();
         match version {
             Some(JOURNAL_VERSION) => {}
-            // Format 1 predates the engine-schema stamp, so nothing in it
-            // says which engine produced its results.
-            Some(1) => {
-                return Err(bad(
-                    "journal format 1 is no longer supported; start a fresh journal".to_string(),
-                ))
+            // Format 1 predates the engine-schema stamp; format 2 kept only
+            // the figure-table fields, so it cannot restore full reports.
+            Some(v) if v < JOURNAL_VERSION => {
+                return Err(bad(format!(
+                    "journal format {v} is no longer supported; start a fresh journal"
+                )))
             }
             _ => {
                 return Err(bad(format!(
@@ -730,16 +658,13 @@ impl RunJournal {
                 sweep.hex()
             )));
         }
-        let mut entries = Vec::new();
+        let mut done = HashMap::new();
         for line in lines {
             let line = line.map_err(|e| io_error(path, e))?;
-            if line.trim().is_empty() {
-                continue;
-            }
             // A malformed line is a half-written tail from a killed run;
             // that point simply re-runs.
-            if let Some(entry) = JournalEntry::parse(&line) {
-                entries.push(entry);
+            if let Some((key, report)) = JournalEntry::parse(&line) {
+                done.insert(key, report);
             }
         }
         let file = OpenOptions::new()
@@ -752,18 +677,23 @@ impl RunJournal {
                 path: path.to_path_buf(),
                 header,
             },
-            entries,
+            done,
         ))
     }
 
-    /// Appends one completed point (one line, flushed).
+    /// Appends one completed point (one line, flushed); a report the codec
+    /// refuses writes nothing.
     pub fn append(&self, entry: &JournalEntry) -> Result<(), RunError> {
+        let Some(line) = entry.to_line() else {
+            return Ok(());
+        };
         let mut file = self
             .file
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        writeln!(file, "{}", entry.to_json_line()).map_err(|e| io_error(&self.path, e))?;
-        file.flush().map_err(|e| io_error(&self.path, e))
+        file.write_all(line.as_bytes())
+            .and_then(|()| file.flush())
+            .map_err(|e| io_error(&self.path, e))
     }
 
     /// Atomically rewrites the journal as the header plus `entries` in the
@@ -771,6 +701,12 @@ impl RunJournal {
     /// once every point has completed; after it, the journal's bytes no
     /// longer depend on completion order or on interruption history.
     pub fn finalize(&self, entries: &[JournalEntry]) -> Result<(), RunError> {
+        self.rewrite(entries.iter().filter_map(JournalEntry::to_line))
+    }
+
+    /// [`finalize`](Self::finalize) over lines made one at a time, so the
+    /// sweep never holds every point's payload at once.
+    fn rewrite(&self, lines: impl Iterator<Item = String>) -> Result<(), RunError> {
         // Hold the append lock across the rename so no in-flight append can
         // interleave (none should exist by the time this is called).
         let _guard = self
@@ -781,21 +717,15 @@ impl RunJournal {
         tmp_name.push(".tmp");
         let tmp = PathBuf::from(tmp_name);
         let write = |path: &Path| -> std::io::Result<()> {
-            let mut out = File::create(path)?;
+            let mut out = BufWriter::new(File::create(path)?);
             writeln!(out, "{}", self.header)?;
-            for entry in entries {
-                writeln!(out, "{}", entry.to_json_line())?;
+            for line in lines {
+                out.write_all(line.as_bytes())?;
             }
-            out.flush()?;
-            out.sync_all()
+            out.into_inner()?.sync_all()
         };
         write(&tmp).map_err(|e| io_error(&tmp, e))?;
         std::fs::rename(&tmp, &self.path).map_err(|e| io_error(&self.path, e))
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -985,43 +915,45 @@ impl SweepSupervisor {
 
     /// Runs the whole grid with no journal.
     pub fn run(&self) -> SupervisedSweep {
-        self.run_inner(None, &HashMap::new())
+        self.run_inner(None, HashMap::new())
     }
 
     /// Runs the grid, journalling every completed point to `path`
     /// (truncating any existing file).
     pub fn run_with_journal(&self, path: &Path) -> Result<SupervisedSweep, RunError> {
         let journal = RunJournal::create(path, &self.digest())?;
-        Ok(self.run_inner(Some(&journal), &HashMap::new()))
+        Ok(self.run_inner(Some(&journal), HashMap::new()))
     }
 
     /// Resumes from an existing journal: completed points are restored from
-    /// their journal entries (and *not* re-run or re-appended); the rest
-    /// run normally and are appended as they finish. The rendered figure
-    /// tables are byte-identical to an uninterrupted run at any job count,
-    /// and once every point completes the journal file itself is finalized
-    /// to the uninterrupted run's exact bytes.
+    /// their journal entries as full reports (and *not* re-run or
+    /// re-appended); the rest run normally and are appended as they finish.
+    /// Every report equals an uninterrupted run's but for its zeroed
+    /// `wall_clock_secs`, so the figure tables are byte-identical at any job
+    /// count, and once every point completes the journal file itself is
+    /// finalized to the uninterrupted run's exact bytes.
     pub fn resume_from(&self, path: &Path) -> Result<SupervisedSweep, RunError> {
-        let (journal, entries) = RunJournal::resume(path, &self.digest())?;
-        let done: HashMap<String, JournalEntry> = entries
-            .into_iter()
-            .map(|e| (e.key.clone(), e))
-            .collect();
-        Ok(self.run_inner(Some(&journal), &done))
+        let (journal, done) = RunJournal::resume(path, &self.digest())?;
+        Ok(self.run_inner(Some(&journal), done))
     }
 
     fn run_inner(
         &self,
         journal: Option<&RunJournal>,
-        done: &HashMap<String, JournalEntry>,
+        mut done: HashMap<String, ScenarioReport>,
     ) -> SupervisedSweep {
         let grid = crate::experiments::canonical_grid(&self.protocols, &self.clients);
         let seed = self.base.seed;
 
-        let store = self
-            .store
-            .as_deref()
-            .filter(|_| store::cacheable(&self.base));
+        // Reports cross the store, worker frames and the journal as codec
+        // payloads, which cannot carry traces: a tracing sweep uses none of
+        // the three, and its journal keeps only its header.
+        let encodable = store::cacheable(&self.base);
+        let store = self.store.as_deref().filter(|_| encodable);
+        let journal = journal.filter(|_| encodable);
+        let entry = |key: &String, (p, n): (Protocol, usize), report: &ScenarioReport| {
+            JournalEntry::from_report(key.clone(), p, n, seed, report)
+        };
 
         // Phase 1, on the job threads: each point's config and digest, and
         // a store lookup unless the journal already holds the point.
@@ -1060,8 +992,8 @@ impl SweepSupervisor {
             cfgs.push(cfg);
             digests.push(digest);
             keys.push(key);
-            if let Some(entry) = done.get(&keys[i]) {
-                slots[i] = Some(entry.reconstruct_report());
+            if let Some(report) = done.remove(&keys[i]) {
+                slots[i] = Some(report);
                 resumed_points += 1;
                 continue;
             }
@@ -1075,9 +1007,7 @@ impl SweepSupervisor {
             // A cache hit still earns its journal line, so a later resume
             // needs neither the store nor a re-run.
             if let Some(journal) = journal {
-                let (p, n) = grid[i];
-                let entry = JournalEntry::from_report(keys[i].clone(), p, n, seed, &report);
-                if let Err(e) = journal.append(&entry) {
+                if let Err(e) = journal.append(&entry(&keys[i], grid[i], &report)) {
                     fail_map.insert(i, e);
                     continue;
                 }
@@ -1098,21 +1028,11 @@ impl SweepSupervisor {
                 let _ = store.put(&digests[i], report);
             }
             if let Some(journal) = journal {
-                let (p, n) = grid[i];
-                journal.append(&JournalEntry::from_report(
-                    keys[i].clone(),
-                    p,
-                    n,
-                    seed,
-                    report,
-                ))?;
+                journal.append(&entry(&keys[i], grid[i], report))?;
             }
             Ok(())
         };
-        // Trace payloads cannot cross the worker codec, so worker fleets
-        // only run plain report sweeps; the daemon's fleet takes priority
-        // over local worker processes.
-        let shippable = !self.base.trace_cwnd && !self.base.trace_events;
+        // The daemon's fleet takes priority over local worker processes.
         let local = self
             .worker_command
             .clone()
@@ -1125,7 +1045,7 @@ impl SweepSupervisor {
             Some(remote) => Some(&**remote as &dyn Fleet),
             None => local.as_ref().map(|local| local as &dyn Fleet),
         }
-        .filter(|_| shippable && !pending.is_empty());
+        .filter(|_| encodable && !pending.is_empty());
         let (outcomes, robustness) = match fleet {
             Some(fleet) => {
                 let specs: Vec<PointSpec> = pending
@@ -1198,20 +1118,10 @@ impl SweepSupervisor {
         // an uninterrupted run's.
         let mut journal_error = None;
         if let (Some(journal), true) = (journal, failures.is_empty() && skipped.is_empty()) {
-            let entries: Vec<JournalEntry> = cells
-                .iter()
-                .enumerate()
-                .map(|(i, cell)| {
-                    JournalEntry::from_report(
-                        keys[i].clone(),
-                        cell.protocol,
-                        cell.clients,
-                        seed,
-                        &cell.report,
-                    )
-                })
-                .collect();
-            journal_error = journal.finalize(&entries).err();
+            let lines = cells.iter().zip(&keys).filter_map(|(cell, key)| {
+                entry(key, (cell.protocol, cell.clients), &cell.report).to_line()
+            });
+            journal_error = journal.rewrite(lines).err();
         }
 
         SupervisedSweep {
@@ -1232,52 +1142,45 @@ impl SweepSupervisor {
 mod tests {
     use super::*;
 
+    /// A short run's report and its journal line under key `deadbeef`.
+    fn tiny_entry() -> (ScenarioReport, Option<String>) {
+        let mut cfg = crate::ScenarioBuilder::paper().finish();
+        cfg.num_clients = 3;
+        cfg.duration = SimDuration::from_millis(500);
+        let report = run_point(&cfg, &RunBudget::UNLIMITED).expect("a tiny scenario runs");
+        let entry = JournalEntry::from_report("deadbeef".into(), Protocol::VegasRed, 3, 7, &report);
+        (report, entry.to_line())
+    }
+
     #[test]
     fn journal_entry_round_trips_exactly() {
-        let entry = JournalEntry {
-            key: "deadbeef01234567".to_string(),
-            protocol: Protocol::VegasRed,
-            clients: 39,
-            seed: 0x1CDC_2000,
-            cov: 1.234_567_890_123_456_7,
-            poisson_cov: 0.1 + 0.2, // famously not 0.3
-            generated: 123_456,
-            delivered: 120_000,
-            loss_percent: 2.796_523e-3,
-            timeouts: 17,
-            fast_retransmits: 4,
-            events: 9_876_543,
-        };
-        let parsed = JournalEntry::parse(&entry.to_json_line()).expect("parses");
-        assert_eq!(parsed, entry);
-        assert_eq!(parsed.cov.to_bits(), entry.cov.to_bits());
-        assert_eq!(parsed.poisson_cov.to_bits(), entry.poisson_cov.to_bits());
-        assert_eq!(parsed.loss_percent.to_bits(), entry.loss_percent.to_bits());
+        let (report, line) = tiny_entry();
+        let line = line.expect("a plain report encodes");
+        assert_eq!(line.find('\n'), Some(line.len() - 1), "one line per entry");
+        let (key, back) = JournalEntry::parse(&line).expect("parses");
+        assert_eq!(key, "deadbeef");
+        // Bit-identical but for the host timing, which is never journalled.
+        let timeless = ScenarioReport { wall_clock_secs: 0.0, ..report.clone() };
+        assert_eq!(codec::encode(&back), codec::encode(&timeless));
+        // A report the codec refuses gets no line at all.
+        let partial = ScenarioReport { budget_exceeded: Some(ExceededBudget::Events), ..report };
+        let entry = JournalEntry::from_report("00".into(), Protocol::Udp, 3, 7, &partial);
+        assert_eq!(entry.to_line(), None);
     }
 
     #[test]
     fn malformed_lines_are_rejected_not_crashed() {
-        assert_eq!(JournalEntry::parse(""), None);
-        assert_eq!(JournalEntry::parse("{"), None);
-        assert_eq!(JournalEntry::parse("{\"key\":\"zz\"}"), None);
-        // A truncated tail (the kill case).
-        let full = JournalEntry {
-            key: "0000000000000001".to_string(),
-            protocol: Protocol::Udp,
-            clients: 5,
-            seed: 7,
-            cov: 0.5,
-            poisson_cov: 0.4,
-            generated: 10,
-            delivered: 10,
-            loss_percent: 0.0,
-            timeouts: 0,
-            fast_retransmits: 0,
-            events: 100,
+        assert!(JournalEntry::parse("").is_none());
+        assert!(JournalEntry::parse("{").is_none());
+        assert!(JournalEntry::parse("{\"key\":\"zz\"}").is_none());
+        assert!(JournalEntry::parse("{\"key\":\"zz\",\"report\":\"end\"}").is_none());
+        // Every cut of a line (the kill case) is rejected; only dropping
+        // the newline leaves it whole.
+        let line = tiny_entry().1.expect("a plain report encodes");
+        for cut in 0..line.len() - 1 {
+            assert!(JournalEntry::parse(&line[..cut]).is_none(), "cut at {cut}");
         }
-        .to_json_line();
-        let cut = &full[..full.len() / 2];
-        assert_eq!(JournalEntry::parse(cut), None);
+        assert!(JournalEntry::parse(&line[..line.len() - 1]).is_some());
     }
 
     #[test]

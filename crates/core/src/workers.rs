@@ -41,9 +41,10 @@
 //!   counted separately and never double the budget.
 //! * **No workers.** A local fleet that cannot spawn any child computes
 //!   in-process at once. The daemon first waits its grace period
-//!   ([`ExecTuning::grace`]), then computes in-process one point at a
-//!   time, so a late worker can still take over. Either way each such
-//!   point counts in `in_process_points`.
+//!   ([`ExecTuning::grace`]). Either way the points are then computed on
+//!   [`Supervisor::jobs`] threads of the sweep's own process, which claim
+//!   from the same pool, so a late worker still shares what is left. Each
+//!   such point counts in `in_process_points`.
 //!
 //! A point is resolved exactly once: a late duplicate reply for a point
 //! that is already resolved is discarded, so the journal never sees a
@@ -90,6 +91,7 @@ use crate::codec;
 use crate::config::{Protocol, ScenarioConfig};
 use crate::daemon::ExecTuning;
 use crate::net_transport::{FrameError, FrameTransport, PipeTransport};
+use crate::parallel::effective_jobs;
 use crate::report::ScenarioReport;
 use crate::store::ENGINE_SCHEMA_VERSION;
 use crate::supervise::{FailurePolicy, PointOutcome, RunBudget, RunError, Supervisor};
@@ -618,8 +620,19 @@ where
                 let _ = ctx.events.send(Event::Exited(died));
             });
         };
-        // Worker threads running, and the no-worker state: a grace timer
-        // armed in `epoch`, then in-process execution once it runs out.
+        // An in-process helper: computes points from the same pool until
+        // it drains.
+        let help = || {
+            let ctx = &ctx;
+            scope.spawn(move || {
+                while let Some(j) = ctx.claim() {
+                    ctx.run_local(j);
+                }
+                let _ = ctx.events.send(Event::Exited(false));
+            });
+        };
+        // Worker and helper threads running, and the no-worker state: a
+        // grace timer armed in `epoch`, then helpers once it runs out.
         let mut live = fleet.open(&ctx.events);
         (0..live).for_each(|_| start(None));
         let mut epoch = 0u64;
@@ -631,10 +644,10 @@ where
                 Err(_) => {
                     if live == 0 {
                         if degraded {
-                            if let Some(j) = ctx.claim() {
-                                ctx.run_local(j);
-                                ctx.skip_unclaimed_on_abort();
-                                continue;
+                            let unclaimed = ctx.unclaimed();
+                            if unclaimed > 0 {
+                                live = effective_jobs(sup.jobs, unclaimed);
+                                (0..live).for_each(|_| help());
                             }
                         } else if !armed {
                             armed = true;
@@ -662,7 +675,7 @@ where
                 }
                 Event::Exited(died) => {
                     live -= 1;
-                    if died && ctx.has_unclaimed() {
+                    if died && ctx.unclaimed() > 0 {
                         live += 1;
                         start(None);
                     }
@@ -733,11 +746,13 @@ impl RunCtx<'_> {
         (j < self.specs.len()).then_some(j)
     }
 
-    /// True while a claim could still succeed.
-    fn has_unclaimed(&self) -> bool {
-        !self.abort.load(Ordering::SeqCst)
-            && (self.next.load(Ordering::SeqCst) < self.specs.len()
-                || self.requeued.lock().is_ok_and(|q| !q.is_empty()))
+    /// How many points claims could still take (none after an abort).
+    fn unclaimed(&self) -> usize {
+        if self.abort.load(Ordering::SeqCst) {
+            return 0;
+        }
+        let requeued = self.requeued.lock().map_or(0, |q| q.len());
+        self.specs.len().saturating_sub(self.next.load(Ordering::SeqCst)) + requeued
     }
 
     /// The point's budget: the supervisor's, doubled once per budget retry
@@ -1047,15 +1062,20 @@ mod tests {
         }
     }
 
-    /// A cheap report whose event count names its point.
+    /// A cheap report whose event count names its point: one short run,
+    /// cloned.
     fn report(j: usize) -> ScenarioReport {
-        let line = format!(
-            "{{\"key\":\"k\",\"protocol\":\"reno\",\"clients\":1,\"seed\":0,\"cov\":0.5,\
-             \"poisson_cov\":0.2,\"generated\":9,\"delivered\":9,\"loss_percent\":0,\
-             \"timeouts\":0,\"fast_retransmits\":0,\"events\":{j}}}"
-        );
-        let entry = crate::supervise::JournalEntry::parse(&line).expect("parses");
-        entry.reconstruct_report()
+        static RUN: OnceLock<ScenarioReport> = OnceLock::new();
+        let run = RUN.get_or_init(|| {
+            let mut cfg = crate::ScenarioBuilder::paper().finish();
+            cfg.num_clients = 1;
+            cfg.duration = SimDuration::from_millis(100);
+            crate::supervise::run_point(&cfg, &RunBudget::UNLIMITED).expect("runs")
+        });
+        ScenarioReport {
+            events_processed: j as u64,
+            ..run.clone()
+        }
     }
 
     fn done(j: usize) -> Option<String> {
@@ -1178,6 +1198,42 @@ mod tests {
         let budgets: Vec<_> = r.sent.iter().map(|(_, b)| b.max_events).collect();
         assert_eq!(budgets, vec![Some(1000), Some(2000), Some(4000)]);
         assert!(!r.counters.any(), "a budget retry is no fault: {}", r.counters);
+    }
+
+    /// A fleet none of whose workers can start.
+    struct DeadFleet;
+
+    impl Fleet for DeadFleet {
+        fn open(&self, _: &Sender<Event>) -> usize {
+            1
+        }
+        fn spawn(&self) -> Option<Worker> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_fleet_without_workers_computes_on_jobs_threads() {
+        // Each point waits, bounded, until both have started: only points
+        // computed at once can meet.
+        let (started, met) = (Mutex::new(0), std::sync::Condvar::new());
+        let meet = |j, _: &RunBudget| {
+            let mut n = started.lock().expect("count");
+            *n += 1;
+            met.notify_all();
+            let ten = Duration::from_secs(10);
+            let (n, wait) = met.wait_timeout_while(n, ten, |n| *n < 2).expect("count");
+            drop(n);
+            if wait.timed_out() {
+                return Err(RunError::Panicked { message: format!("point {j} ran alone") });
+            }
+            Ok(report(j))
+        };
+        let sup = Supervisor { jobs: 2, ..Supervisor::default() };
+        let spec = PointSpec { protocol: Protocol::Reno, clients: 3, seed: 1 };
+        let (outcomes, counters) = run_points(&DeadFleet, &sup, "", &[spec; 2], meet, |_, _| Ok(()));
+        assert!(all_done(&outcomes), "{outcomes:?}");
+        assert_eq!(counters.in_process_points, 2);
     }
 
     #[test]

@@ -4,92 +4,17 @@
 //! finalized journal byte-identical to an uninterrupted serial run — for
 //! the pipe-worker pool and for the TCP sweep service alike.
 
-use std::io::{BufRead, BufReader, Read};
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir() -> PathBuf {
-    let n = CASE.fetch_add(1, Ordering::SeqCst);
-    let dir = std::env::temp_dir().join(format!("tcpburst-chaos-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir is creatable");
-    dir
-}
-
-const SWEEP: &[&str] = &[
-    "sweep",
-    "--protocols",
-    "udp,reno",
-    "--clients",
-    "4,7",
-    "--secs",
-    "2",
-    "--no-cache",
-];
-
-/// Runs the test binary with a throwaway cache root, a hard wall-clock
-/// bound, and the given extra environment.
-fn tcpburst(dir: &PathBuf, args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
-    cmd.args(args)
-        .env("TCPBURST_CACHE", dir)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let child = cmd.spawn().expect("tcpburst binary spawns");
-    wait_bounded(child, 120)
-}
-
-/// Waits for a child with a wall-clock budget; a hung process is killed
-/// and the test fails loudly instead of wedging the suite.
-fn wait_bounded(mut child: Child, secs: u64) -> Output {
-    let deadline = Instant::now() + Duration::from_secs(secs);
-    // Drain the pipes on threads so a chatty child can't fill them and
-    // block while we poll for exit. Children spawned with null stdio have
-    // nothing to drain.
-    let drain = |pipe: Option<Box<dyn Read + Send>>| {
-        std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            if let Some(mut pipe) = pipe {
-                let _ = pipe.read_to_end(&mut buf);
-            }
-            buf
-        })
-    };
-    let out_pipe = child.stdout.take().map(|p| Box::new(p) as Box<dyn Read + Send>);
-    let err_pipe = child.stderr.take().map(|p| Box::new(p) as Box<dyn Read + Send>);
-    let out_thread = drain(out_pipe);
-    let err_thread = drain(err_pipe);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("child pollable") {
-            break status;
-        }
-        if Instant::now() >= deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("tcpburst run exceeded its {secs}s wall-clock bound");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let stdout = out_thread.join().expect("stdout drains");
-    let stderr = err_thread.join().expect("stderr drains");
-    Output {
-        status,
-        stdout,
-        stderr,
-    }
-}
+mod common;
+use common::{tcpburst, temp_dir, wait_bounded, SWEEP};
 
 /// Runs the baseline: serial in-process sweep with a finalized journal.
-fn serial_baseline(dir: &PathBuf) -> (Output, Vec<u8>) {
+fn serial_baseline(dir: &Path) -> (Output, Vec<u8>) {
     let journal = dir.join("serial.jsonl");
     let mut args = SWEEP.to_vec();
     let journal_s = journal.to_str().expect("utf-8 path").to_string();
@@ -113,7 +38,7 @@ proptest! {
         frame in 1u32..=9,
         scoped in any::<bool>(),
     ) {
-        let dir = temp_dir();
+        let dir = temp_dir("chaos");
         let (serial, serial_journal) = serial_baseline(&dir);
 
         let kinds = ["kill", "stall", "corrupt", "trunc", "drop"];
@@ -211,7 +136,7 @@ fn submit(dir: &PathBuf, addr: &str) -> Output {
 /// Two remote TCP workers reproduce the serial tables byte-for-byte.
 #[test]
 fn loopback_tcp_workers_match_serial_output() {
-    let dir = temp_dir();
+    let dir = temp_dir("chaos");
     let (serial, _) = serial_baseline(&dir);
 
     let (daemon, addr) = spawn_daemon(&dir, &[]);
@@ -237,7 +162,7 @@ fn loopback_tcp_workers_match_serial_output() {
 /// point; the surviving worker finishes and the output stays identical.
 #[test]
 fn killing_a_remote_worker_mid_sweep_loses_nothing() {
-    let dir = temp_dir();
+    let dir = temp_dir("chaos");
     let (serial, _) = serial_baseline(&dir);
 
     let (daemon, addr) = spawn_daemon(&dir, &[]);
@@ -273,7 +198,7 @@ fn killing_a_remote_worker_mid_sweep_loses_nothing() {
 /// in-process with identical output.
 #[test]
 fn daemon_degrades_to_in_process_when_all_workers_vanish() {
-    let dir = temp_dir();
+    let dir = temp_dir("chaos");
     let (serial, _) = serial_baseline(&dir);
 
     let (daemon, addr) = spawn_daemon(&dir, &["--grace-ms", "300"]);
@@ -306,7 +231,7 @@ fn daemon_degrades_to_in_process_when_all_workers_vanish() {
 /// job's `submit` returning, even though the daemon keeps serving.
 #[test]
 fn a_tcp_worker_exits_cleanly_after_its_job() {
-    let dir = temp_dir();
+    let dir = temp_dir("chaos");
     // No `--once`: the daemon outlives the job, so the worker's exit is
     // its own, not a side effect of the daemon closing the socket.
     let (mut daemon, addr) = spawn_serve(&dir, &[]);

@@ -1,34 +1,29 @@
 //! Property test of journal resume: a sweep resumed from *any* prefix of
-//! its run journal must reproduce the uninterrupted sweep's figure tables
-//! byte-for-byte, at any worker count.
+//! its run journal must reproduce the uninterrupted sweep's full reports
+//! (host wall clock aside), figure tables and finalized journal
+//! byte-for-byte, whether the rest of the grid is simulated in-process at
+//! any job count, served from the result store or run on worker processes.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use tcpburst_core::{Protocol, ScenarioBuilder, SupervisedSweep, SweepSupervisor};
+use tcpburst_core::{
+    Protocol, ResultStore, ScenarioBuilder, SupervisedSweep, SweepSupervisor, WorkerCommand,
+};
 
-static CASE: AtomicU64 = AtomicU64::new(0);
+mod common;
+use common::{canonical_bytes, figure_tables, temp_path};
 
-fn temp_journal() -> PathBuf {
-    let n = CASE.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!("tcpburst-resume-{}-{n}.jsonl", std::process::id()))
-}
-
-fn figure_tables(s: &SupervisedSweep) -> String {
-    format!(
-        "{}{}{}{}",
-        s.sweep.fig2_cov_table(),
-        s.sweep.fig3_throughput_table(),
-        s.sweep.fig4_loss_table(),
-        s.sweep.fig13_timeout_ratio_table()
-    )
+/// Every cell's full report, host wall clock aside (the one field a
+/// journal leaves out).
+fn full_reports(s: &SupervisedSweep) -> Vec<String> {
+    s.sweep.cells.iter().map(|cell| canonical_bytes(&cell.report)).collect()
 }
 
 proptest! {
-    // Every case runs a full 6-point sweep twice; keep the count small.
+    // Every case runs a 6-point sweep, then resumes it three ways; keep
+    // the count small.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -42,63 +37,75 @@ proptest! {
             .finish();
         let protocols = [Protocol::Udp, Protocol::Reno];
         let clients = [3usize, 5, 8];
-        let path = temp_journal();
+        let path = temp_path("resume");
+        let store_root = path.with_extension("store");
+        let store = || Arc::new(ResultStore::open(&store_root).expect("temp store opens"));
 
+        // The fresh run also fills a store, for the store-hit resume.
         let fresh = SweepSupervisor::new(&cfg, &protocols, &clients)
             .jobs(2)
+            .store(store())
             .run_with_journal(&path)
             .expect("temp journal is writable");
         prop_assert!(fresh.all_complete());
         prop_assert!(fresh.journal_error.is_none());
         let fresh_tables = figure_tables(&fresh);
+        let fresh_reports = full_reports(&fresh);
         // A completed sweep finalizes its journal into canonical grid
         // order, so the file on disk is a deterministic artifact.
-        let fresh_journal = fs::read(&path).expect("finalized journal exists");
-
-        // Simulate a crash part-way through: keep the header plus the first
-        // `keep` completed points. The journal is in completion order, so
-        // this is an arbitrary subset of the grid, not a canonical prefix.
-        let lines: Vec<String> = BufReader::new(fs::File::open(&path).expect("journal exists"))
-            .lines()
-            .collect::<Result<_, _>>()
-            .expect("journal is valid UTF-8");
+        let fresh_journal = fs::read_to_string(&path).expect("finalized journal exists");
+        let lines: Vec<&str> = fresh_journal.lines().collect();
         prop_assert_eq!(lines.len(), 1 + 6, "header plus one line per point");
-        let mut truncated = fs::File::create(&path).expect("journal is rewritable");
-        for line in lines.iter().take(1 + keep) {
-            writeln!(truncated, "{line}").expect("journal is writable");
-        }
-        drop(truncated);
 
-        let resumed = SweepSupervisor::new(&cfg, &protocols, &clients)
-            .jobs(resume_jobs)
-            .resume_from(&path)
-            .expect("truncated journal is readable");
-        prop_assert_eq!(resumed.resumed_points, keep);
-        prop_assert_eq!(resumed.completed_points, 6 - keep);
-        prop_assert!(resumed.all_complete());
-        prop_assert_eq!(figure_tables(&resumed), fresh_tables);
-        // The resumed sweep's finalized journal is byte-identical to the
-        // uninterrupted run's, regardless of where the crash cut it or
-        // how many threads replayed the remainder.
-        prop_assert!(resumed.journal_error.is_none());
-        prop_assert_eq!(
-            fs::read(&path).expect("refinalized journal exists"),
-            fresh_journal.clone(),
-            "kill-at-{} + resume must merge to the uninterrupted journal",
-            keep
-        );
+        for rest in ["simulated", "stored", "workers"] {
+            // Simulate a crash part-way through: keep the header plus the
+            // first `keep` completed points.
+            fs::write(&path, lines[..=keep].join("\n") + "\n").expect("journal is rewritable");
+            let mut sweep = SweepSupervisor::new(&cfg, &protocols, &clients).jobs(resume_jobs);
+            if rest == "stored" {
+                sweep = sweep.store(store());
+            } else if rest == "workers" {
+                let program = env!("CARGO_BIN_EXE_tcpburst").into();
+                let args = vec!["worker".into(), "--secs".into(), "2".into()];
+                sweep = sweep.workers(2).worker_command(WorkerCommand { program, args });
+            }
+            let resumed = sweep.resume_from(&path).expect("truncated journal is readable");
+            prop_assert_eq!(resumed.resumed_points, keep, "{}", rest);
+            prop_assert!(resumed.all_complete());
+            let rest_points = if rest == "stored" { resumed.cache_hits } else { resumed.completed_points };
+            prop_assert_eq!(rest_points, 6 - keep, "{}", rest);
+            // The workers really ran: no point fell back to this process.
+            prop_assert_eq!(resumed.robustness.in_process_points, 0);
+            // Journalled, simulated, stored and worker-computed points are
+            // all the full reports of the uninterrupted run.
+            prop_assert_eq!(full_reports(&resumed), fresh_reports.clone(), "{}", rest);
+            prop_assert_eq!(figure_tables(&resumed), fresh_tables.clone());
+            // The resumed sweep's finalized journal is byte-identical to the
+            // uninterrupted run's, regardless of where the crash cut it or
+            // what computed the remainder.
+            prop_assert!(resumed.journal_error.is_none());
+            prop_assert_eq!(
+                fs::read_to_string(&path).expect("refinalized journal exists"),
+                fresh_journal.clone(),
+                "kill-at-{} + resume ({}) must merge to the uninterrupted journal",
+                keep,
+                rest
+            );
+        }
 
         // After the resume the journal holds the full grid again: resuming
-        // a second time re-runs nothing.
+        // a second time re-runs nothing and restores every full report.
         let full = SweepSupervisor::new(&cfg, &protocols, &clients)
             .jobs(1)
             .resume_from(&path)
             .expect("completed journal is readable");
         prop_assert_eq!(full.resumed_points, 6);
         prop_assert_eq!(full.completed_points, 0);
+        prop_assert_eq!(full_reports(&full), fresh_reports);
         prop_assert_eq!(figure_tables(&full), fresh_tables);
 
         let _ = fs::remove_file(&path);
+        let _ = fs::remove_dir_all(&store_root);
     }
 }
 
@@ -112,7 +119,7 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
         .finish();
     let protocols = [Protocol::Udp];
     let clients = [3usize];
-    let path = temp_journal();
+    let path = temp_path("resume");
 
     SweepSupervisor::new(&cfg_a, &protocols, &clients)
         .jobs(1)
@@ -142,7 +149,7 @@ fn resume_rejects_a_schema_3_journal() {
         .finish();
     let protocols = [Protocol::Udp];
     let clients = [3usize];
-    let path = temp_journal();
+    let path = temp_path("resume");
     let sweep = SweepSupervisor::new(&cfg, &protocols, &clients).jobs(1);
     sweep
         .run_with_journal(&path)
@@ -173,42 +180,49 @@ fn resume_rejects_a_schema_3_journal() {
     let _ = fs::remove_file(&path);
 }
 
-/// Journal format 1 carried FNV-1a keys and no engine-schema stamp, so
-/// nothing in it says which engine produced its results. It is refused
-/// as a format, before any sweep-identity check, and left byte-unchanged.
+/// Journal format 1 carried FNV-1a keys and no engine-schema stamp, and
+/// format 2 only each point's figure-table fields, so neither can restore
+/// full reports. Both are refused as a format, before any sweep-identity
+/// check, and left byte-unchanged.
 #[test]
 fn resume_rejects_a_format_1_journal() {
     let cfg = ScenarioBuilder::paper()
         .instrumentation(|i| i.secs(2).seed(7))
         .finish();
-    let path = temp_journal();
-    let journal = concat!(
+    let path = temp_path("resume");
+    let format_1 = concat!(
         "{\"journal\":\"tcpburst-sweep\",\"version\":1,\"sweep\":\"9f3c2a7b10e4d865\"}\n",
         "{\"key\":\"5be0c1d2e3f40718\",\"protocol\":\"udp\",\"clients\":3,\"seed\":7,",
         "\"cov\":0.25,\"poisson_cov\":0.25,\"generated\":100,\"delivered\":100,",
         "\"loss_percent\":0,\"timeouts\":0,\"fast_retransmits\":0,\"events\":400}\n",
     );
-    fs::write(&path, journal).unwrap();
-
-    let err = SweepSupervisor::new(&cfg, &[Protocol::Udp], &[3])
-        .jobs(1)
-        .resume_from(&path)
-        .expect_err("format-1 journal is rejected");
-    assert_eq!(err.kind(), "io");
-    let message = err.to_string();
-    assert!(
-        message.contains("journal format 1 is no longer supported"),
-        "{message}"
-    );
-    assert!(message.contains("start a fresh journal"), "{message}");
-    assert!(
-        !message.contains("different sweep configuration"),
-        "{message}"
-    );
-    assert_eq!(
-        fs::read_to_string(&path).unwrap(),
-        journal,
-        "a rejected journal is untouched"
-    );
+    // Format 2 stamped the engine schema on its header and every line.
+    let format_2 = format_1
+        .replace("\"version\":1,", "\"version\":2,\"schema_version\":7,")
+        .replace("\"protocol\"", "\"schema_version\":7,\"protocol\"");
+    for (format, journal) in [(1, format_1.to_string()), (2, format_2)] {
+        fs::write(&path, &journal).unwrap();
+        let err = SweepSupervisor::new(&cfg, &[Protocol::Udp], &[3])
+            .jobs(1)
+            .resume_from(&path)
+            .expect_err("an old-format journal is rejected");
+        assert_eq!(err.kind(), "io");
+        let message = err.to_string();
+        assert!(
+            message.contains(&format!(
+                "journal format {format} is no longer supported; start a fresh journal"
+            )),
+            "{message}"
+        );
+        assert!(
+            !message.contains("different sweep configuration"),
+            "{message}"
+        );
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            journal,
+            "a rejected journal is untouched"
+        );
+    }
     let _ = fs::remove_file(&path);
 }

@@ -7,8 +7,6 @@
 use std::fs;
 use std::io::Write;
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use tcpburst_core::{
@@ -16,12 +14,8 @@ use tcpburst_core::{
     ScenarioBuilder, ScenarioConfig, SweepSupervisor, ENGINE_SCHEMA_VERSION,
 };
 
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn temp_store() -> PathBuf {
-    let n = CASE.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!("tcpburst-store-{}-{n}", std::process::id()))
-}
+mod common;
+use common::{canonical_bytes, temp_path};
 
 fn small_cfg(seed: u64) -> ScenarioConfig {
     ScenarioBuilder::paper()
@@ -51,17 +45,9 @@ fn record_span(pack: &[u8], cfg: &ScenarioConfig) -> Range<usize> {
     start..start + header_len + payload_len
 }
 
-/// Canonical serialization with the host wall-clock zeroed: the only
-/// field that legitimately differs between two runs of the same point.
-fn canonical_bytes(report: &tcpburst_core::ScenarioReport) -> String {
-    let mut r = report.clone();
-    r.wall_clock_secs = 0.0;
-    codec::encode(&r).expect("report is encodable")
-}
-
 #[test]
 fn warm_hit_is_bit_identical_to_cold_run() {
-    let root = temp_store();
+    let root = temp_path("store");
     let cfg = small_cfg(11);
     let store = ResultStore::open(&root).expect("temp store is creatable");
 
@@ -88,7 +74,7 @@ fn warm_hit_is_bit_identical_to_cold_run() {
 /// that cannot hit: false until the first record lands, true after.
 #[test]
 fn has_records_tracks_whether_the_pack_holds_anything() {
-    let root = temp_store();
+    let root = temp_path("store");
     let store = ResultStore::open(&root).expect("temp store is creatable");
     assert!(!store.has_records(), "a new store has no pack");
     fs::create_dir_all(&root).expect("root is creatable");
@@ -102,7 +88,7 @@ fn has_records_tracks_whether_the_pack_holds_anything() {
 
 #[test]
 fn poisoned_entry_is_detected_and_recomputed() {
-    let root = temp_store();
+    let root = temp_path("store");
     let cfg = small_cfg(23);
     let store = ResultStore::open(&root).expect("temp store is creatable");
     let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
@@ -148,7 +134,7 @@ fn poisoned_entry_is_detected_and_recomputed() {
 fn schema_3_entries_are_stale_and_never_reused() {
     assert_eq!(ENGINE_SCHEMA_VERSION, 7);
     for (stale, seed) in [(3u32, 41u64), (4, 43), (5, 47), (6, 53)] {
-        let root = temp_store();
+        let root = temp_path("store");
         let cfg = small_cfg(seed);
         let store = ResultStore::open(&root).expect("temp store is creatable");
         let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
@@ -202,7 +188,7 @@ fn schema_3_entries_are_stale_and_never_reused() {
 
 #[test]
 fn truncated_entry_is_detected_and_recomputed() {
-    let root = temp_store();
+    let root = temp_path("store");
     let cfg = small_cfg(37);
     let store = ResultStore::open(&root).expect("temp store is creatable");
     let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
@@ -240,7 +226,7 @@ fn truncated_entry_is_detected_and_recomputed() {
 
 #[test]
 fn a_torn_record_does_not_hide_a_later_one() {
-    let root = temp_store();
+    let root = temp_path("store");
     let (torn, later) = (small_cfg(51), small_cfg(53));
     let store = ResultStore::open(&root).expect("temp store is creatable");
     run_point_cached(&torn, &RunBudget::UNLIMITED, Some(&store)).expect("small scenario runs");
@@ -281,7 +267,7 @@ fn append(path: &std::path::Path, bytes: &[u8]) {
 /// the good record, and a line appended after the torn one is still read.
 #[test]
 fn a_torn_copy_does_not_replace_a_good_record() {
-    let root = temp_store();
+    let root = temp_path("store");
     let (cfg, later) = (small_cfg(57), small_cfg(59));
     let store = ResultStore::open(&root).expect("temp store is creatable");
     let report = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store)).unwrap();
@@ -319,7 +305,7 @@ fn a_torn_copy_does_not_replace_a_good_record() {
 /// the cached results but not the ones written afterwards.
 #[test]
 fn a_store_deleted_or_emptied_under_a_handle_recovers() {
-    let root = temp_store();
+    let root = temp_path("store");
     let cfgs = [small_cfg(79), small_cfg(83), small_cfg(89)];
     let reports: Vec<_> = cfgs.iter().map(Scenario::run).collect();
     let store = ResultStore::open(&root).expect("temp store is creatable");
@@ -355,7 +341,7 @@ fn a_store_deleted_or_emptied_under_a_handle_recovers() {
 /// by a fresh handle that reads the index backwards from its end.
 #[test]
 fn the_latest_record_of_a_point_wins() {
-    let root = temp_store();
+    let root = temp_path("store");
     let (cfg, other) = (small_cfg(97), small_cfg(101));
     let (first, second) = (Scenario::run(&cfg), Scenario::run(&other));
     let mut rerun = first.clone();
@@ -382,7 +368,7 @@ fn the_latest_record_of_a_point_wins() {
 /// size.
 #[test]
 fn an_index_line_claiming_too_much_is_corrupt() {
-    let root = temp_store();
+    let root = temp_path("store");
     let cfg = small_cfg(103);
     let store = ResultStore::open(&root).expect("temp store is creatable");
     let report = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store)).unwrap();
@@ -400,7 +386,7 @@ fn an_index_line_claiming_too_much_is_corrupt() {
 
 #[test]
 fn a_handle_finds_records_another_handle_appended_after_its_scan() {
-    let root = temp_store();
+    let root = temp_path("store");
     let (first, second) = (small_cfg(61), small_cfg(67));
     let a = ResultStore::open(&root).expect("temp store is creatable");
     let b = ResultStore::open(&root).expect("second handle opens");
@@ -430,7 +416,7 @@ fn a_handle_finds_records_another_handle_appended_after_its_scan() {
 fn concurrent_puts_on_one_handle_all_land_intact() {
     const THREADS: usize = 4;
     const PUTS: usize = 25;
-    let root = temp_store();
+    let root = temp_path("store");
     let base = Scenario::run(&small_cfg(71));
     // One report per put, each with its own bytes, under its own digest.
     let cases: Vec<(Digest, String)> = (0..THREADS * PUTS)
@@ -470,7 +456,7 @@ fn concurrent_puts_on_one_handle_all_land_intact() {
 
 #[test]
 fn a_fully_warm_sweep_appends_nothing() {
-    let root = temp_store();
+    let root = temp_path("store");
     let base = small_cfg(73);
     let protocols = [Protocol::Reno, Protocol::Vegas];
     let clients = [3usize, 4];
@@ -496,7 +482,7 @@ fn a_fully_warm_sweep_appends_nothing() {
 
 #[test]
 fn traced_configurations_bypass_the_store() {
-    let root = temp_store();
+    let root = temp_path("store");
     let cfg = ScenarioBuilder::paper()
         .topology(|t| t.clients(3))
         .instrumentation(|i| i.secs(1).seed(5).trace_cwnd(true))

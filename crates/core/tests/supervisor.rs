@@ -4,15 +4,17 @@
 //! is the same at any job count.
 
 use std::fs;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use tcpburst_core::{
     point_digest, run_point, ExceededBudget, FailurePolicy, PointOutcome, Protocol, ResultStore,
-    RunBudget, RunError, Scenario, ScenarioBuilder, ScenarioConfig, SupervisedSweep, Supervisor,
+    RunBudget, RunError, Scenario, ScenarioBuilder, ScenarioConfig, Supervisor,
     SweepSupervisor,
 };
+
+mod common;
+use common::{figure_tables, temp_path};
 
 fn audited_cfg(protocol: Protocol, clients: usize, secs: u64) -> ScenarioConfig {
     ScenarioBuilder::paper()
@@ -182,26 +184,6 @@ fn audit_passes_on_the_paper_vegas_configuration() {
     let r = run_point(&cfg, &RunBudget::UNLIMITED).expect("64-client Vegas audits clean");
     let audit = r.audit.expect("auditor ran");
     assert!(audit.passed(), "{audit}");
-}
-
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    let n = CASE.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!(
-        "tcpburst-supervisor-{tag}-{}-{n}",
-        std::process::id()
-    ))
-}
-
-fn figure_tables(s: &SupervisedSweep) -> String {
-    format!(
-        "{}{}{}{}",
-        s.sweep.fig2_cov_table(),
-        s.sweep.fig3_throughput_table(),
-        s.sweep.fig4_loss_table(),
-        s.sweep.fig13_timeout_ratio_table()
-    )
 }
 
 /// Stored points are looked up on the job threads, but the counts, the

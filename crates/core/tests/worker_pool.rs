@@ -4,44 +4,14 @@
 //! sweep.
 
 use std::io::BufReader;
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::process::{Command, Stdio};
 
-static CASE: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir() -> PathBuf {
-    let n = CASE.fetch_add(1, Ordering::SeqCst);
-    let dir = std::env::temp_dir().join(format!("tcpburst-workers-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir is creatable");
-    dir
-}
-
-/// Runs the release `tcpburst` binary with a throwaway cache root so the
-/// test never reads or pollutes the developer's real cache.
-fn tcpburst(cache_root: &PathBuf, args: &[&str], envs: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
-    cmd.args(args).env("TCPBURST_CACHE", cache_root);
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("tcpburst binary runs")
-}
-
-const SWEEP: &[&str] = &[
-    "sweep",
-    "--protocols",
-    "udp,reno",
-    "--clients",
-    "4,7",
-    "--secs",
-    "2",
-    "--no-cache",
-];
+mod common;
+use common::{tcpburst, temp_dir, SWEEP};
 
 #[test]
 fn worker_processes_match_in_process_output_byte_for_byte() {
-    let dir = temp_dir();
+    let dir = temp_dir("workers");
 
     let serial = tcpburst(&dir, SWEEP, &[]);
     assert!(serial.status.success(), "in-process sweep fails: {serial:?}");
@@ -62,7 +32,7 @@ fn worker_processes_match_in_process_output_byte_for_byte() {
 
 #[test]
 fn a_crashing_worker_loses_zero_points() {
-    let dir = temp_dir();
+    let dir = temp_dir("workers");
 
     let serial = tcpburst(&dir, SWEEP, &[]);
     assert!(serial.status.success(), "in-process sweep fails: {serial:?}");
@@ -98,13 +68,43 @@ fn a_crashing_worker_loses_zero_points() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Hop traces cannot cross the codec: a `--trace-hops` sweep stays
+/// in-process under `--workers` instead of failing every point as
+/// unencodable, and journals no points, so a resume from its truncated
+/// journal re-runs them all. Every run prints the same tables.
+#[test]
+fn a_traced_sweep_runs_in_process_and_resumes_by_rerunning() {
+    let dir = temp_dir("workers");
+    let journal = dir.join("traced.jsonl");
+    let journal = journal.to_str().expect("utf-8 path");
+    let sweep = ["sweep", "--clients", "5", "--secs", "2", "--trace-hops", "--no-cache"];
+    let run = |extra: &[&str]| {
+        let out = tcpburst(&dir, &[&sweep[..], extra].concat(), &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "traced sweep {extra:?} fails: {stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+    };
+
+    let (fresh, _) = run(&["--journal", journal]);
+    let (workers, _) = run(&["--workers", "2"]);
+    assert_eq!(fresh, workers, "a traced sweep prints the same tables with --workers 2");
+    let header = std::fs::read_to_string(journal).expect("journal exists");
+    assert_eq!(header.lines().count(), 1, "only the header: {header}");
+    std::fs::write(journal, header.trim_end()).expect("journal is rewritable");
+    let (resumed, stderr) = run(&["--resume", journal]);
+    assert_eq!(fresh, resumed, "the resume re-runs every point");
+    assert!(!stderr.contains("resumed"), "no point was restored: {stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fleet whose every child dies before its `ready` frame cannot start a
 /// worker at all. The sweep still completes, in-process, with the serial
 /// tables, and the `robustness:` line says how many points it computed
 /// that way instead of falling back in silence.
 #[test]
 fn a_fleet_that_cannot_start_reports_its_in_process_points() {
-    let dir = temp_dir();
+    let dir = temp_dir("workers");
     let sweep = ["sweep", "--clients", "5,15", "--secs", "3", "--no-cache"];
 
     let serial = tcpburst(&dir, &sweep, &[]);
@@ -140,7 +140,7 @@ fn a_fleet_that_cannot_start_reports_its_in_process_points() {
 fn a_pipe_worker_says_ready_then_exits_cleanly_on_eof() {
     use tcpburst_core::{FrameTransport, PipeTransport, ENGINE_SCHEMA_VERSION};
 
-    let dir = temp_dir();
+    let dir = temp_dir("workers");
     let mut child = Command::new(env!("CARGO_BIN_EXE_tcpburst"))
         .args(["worker", "--secs", "2"])
         .env("TCPBURST_CACHE", &dir)

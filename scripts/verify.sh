@@ -62,7 +62,10 @@ head -n 4 "$TMP/sweep.jsonl" > "$TMP/trunc.jsonl"
     --resume "$TMP/trunc.jsonl" > "$TMP/resumed.txt" 2> "$TMP/resumed.err"
 diff "$TMP/fresh.txt" "$TMP/resumed.txt"
 grep -q "resumed 3 point(s)" "$TMP/resumed.err"
-echo "resumed sweep output is byte-identical to the fresh run"
+# The resume re-finalizes the truncated journal: it must be the fresh
+# run's finalized journal, byte for byte (each line a full report).
+diff "$TMP/sweep.jsonl" "$TMP/trunc.jsonl"
+echo "resumed sweep output and journal are byte-identical to the fresh run"
 
 echo "==> result cache: a repeated sweep must be 100% hits and byte-identical"
 # Its own store (--cache, also exercising the flag): the sweeps above
@@ -203,6 +206,7 @@ for v in cubic hstcp bbr; do
         > "$TMP/modern_resumed.txt" 2> "$TMP/modern_resumed.err"
     diff "$TMP/modern_fresh.txt" "$TMP/modern_resumed.txt"
     grep -q "resumed 1 point(s)" "$TMP/modern_resumed.err"
+    diff "$TMP/modern.jsonl" "$TMP/modern_trunc.jsonl"
     rm -f "$TMP/modern.jsonl" "$TMP/modern_trunc.jsonl"
 done
 # The paced policy through the fork/IPC/merge path: worker processes must
