@@ -18,8 +18,8 @@ use tcpburst_core::experiments::{
 };
 use tcpburst_des::SimDuration;
 use tcpburst_core::{
-    remote_worker_main, run_point, submit_job, worker_main, ExecTuning, FailurePolicy, Gateway,
-    JobConn, Protocol, RemoteExec, ReplicatedSweep, ResultStore, RunBudget, RunError,
+    remote_worker_main, run_point, store, submit_job, worker_main, ExecTuning, FailurePolicy,
+    Gateway, JobConn, Protocol, RemoteExec, ReplicatedSweep, ResultStore, RunBudget, RunError,
     ScenarioBuilder, SupervisedSweep, SweepSupervisor, TopoKind, WorkerCommand, WorkerOptions,
     DEFAULT_TOKEN,
 };
@@ -515,7 +515,8 @@ fn run_sweep(
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), String> {
-    let store = open_store(&args.cache)?;
+    // A traced sweep never consults the store, so it reports no cache line.
+    let store = open_store(&args.cache)?.filter(|_| store::cacheable(&args.cfg));
     let mut supervisor = SweepSupervisor::new(&args.cfg, &args.protocol_set, &args.client_list)
         .jobs(args.jobs)
         .policy(args.policy)
@@ -648,7 +649,7 @@ fn serve_one_job(gateway: &Arc<Gateway>, job: &mut JobConn, net: &NetOpts) {
 }
 
 fn cmd_replicate(args: &Args) -> Result<(), String> {
-    let store = open_store(&args.cache)?;
+    let store = open_store(&args.cache)?.filter(|_| store::cacheable(&args.cfg));
     let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| args.cfg.seed + i).collect();
     let sweep = ReplicatedSweep::try_run_with_jobs_store(
         &args.cfg,

@@ -134,54 +134,6 @@ impl Sweep {
         Sweep::from_cells(cells, protocols.to_vec(), clients.to_vec())
     }
 
-    /// Like [`Sweep::run_with_jobs_from`], resolving every grid point
-    /// against a content-addressed result store first: stored points load
-    /// instead of simulating, fresh points are written back, and the
-    /// assembled sweep is bit-identical either way (the store persists the
-    /// exact report bits). Configurations [`crate::store::cacheable`]
-    /// refuses bypass the store per point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is empty, or if a point fails its audit or
-    /// panics (mirroring [`Sweep::run_with_jobs_from`]'s contract; use the
-    /// [sweep supervisor](crate::SweepSupervisor) for typed failures).
-    pub fn run_cached_from(
-        base: &ScenarioConfig,
-        protocols: &[Protocol],
-        clients: &[usize],
-        jobs: usize,
-        store: &crate::store::ResultStore,
-    ) -> Self {
-        assert!(!protocols.is_empty(), "need at least one protocol");
-        assert!(!clients.is_empty(), "need at least one client count");
-        let grid = canonical_grid(protocols, clients);
-        let cells = crate::parallel::run_indexed(jobs, grid.len(), |i| {
-            let (p, n) = grid[i];
-            let mut cfg = *base;
-            cfg.num_clients = n;
-            cfg.apply_protocol(p);
-            let report = if crate::store::cacheable(&cfg) {
-                match crate::store::run_point_cached(
-                    &cfg,
-                    &crate::supervise::RunBudget::UNLIMITED,
-                    Some(store),
-                ) {
-                    Ok(report) => report,
-                    Err(error) => panic!("sweep point failed: {error}"),
-                }
-            } else {
-                Scenario::run(&cfg)
-            };
-            SweepCell {
-                protocol: p,
-                clients: n,
-                report,
-            }
-        });
-        Sweep::from_cells(cells, protocols.to_vec(), clients.to_vec())
-    }
-
     /// Assembles a sweep from already-computed cells (typically from the
     /// supervisor, where failed grid points leave holes). Cells must be in
     /// canonical (protocol-major, clients-minor) order; missing points

@@ -98,7 +98,7 @@ pub use config::{
     TransportKind,
 };
 pub use event::{Event, ImpairEvent};
-pub use parallel::{available_jobs, run_indexed, run_indexed_partial, PartialResults};
+pub use parallel::{available_jobs, run_indexed};
 pub use profile::{DispatchProfile, EventClassStats, TimerReport};
 pub use replicate::{ReplicatedCell, ReplicatedSweep};
 pub use report::{FlowReport, HopSeries, ImpairmentReport, ScenarioReport};

@@ -14,17 +14,7 @@ use crate::config::{Protocol, ScenarioConfig};
 use crate::supervise::{
     FailurePolicy, PointFailure, PointOutcome, RunBudget, Supervisor, SweepPoint,
 };
-
-/// Just the per-run numbers the fold needs — workers return this instead
-/// of the full [`ScenarioReport`](crate::ScenarioReport) so a wide seed
-/// axis does not hold every flow table and bin vector alive at once.
-struct RunSample {
-    cov: f64,
-    poisson_cov: f64,
-    delivered: f64,
-    loss_percent: f64,
-    timeout_ratio: f64,
-}
+use crate::workers::{self, InProcess, PointSpec};
 
 /// Aggregated metrics of one (protocol, clients) grid point across seeds.
 #[derive(Debug, Clone)]
@@ -74,12 +64,12 @@ impl ReplicatedSweep {
     /// Like [`ReplicatedSweep::run`], with an explicit worker-thread count.
     ///
     /// The full `(protocol, clients, seed)` grid — the sweep's unit of
-    /// independent work — is executed by
-    /// [`run_indexed`](crate::parallel::run_indexed), then folded into
+    /// independent work — is executed on the supervised grid scheduler of
+    /// [`crate::workers`], then folded into
     /// per-cell [`RunningStats`] serially in canonical seed order, so the
     /// floating-point accumulation (and therefore every mean and CI digit)
     /// is **bit-identical for every `jobs` value**. `jobs == 0` means
-    /// available parallelism; `jobs == 1` takes the exact serial path.
+    /// available parallelism; `jobs == 1` computes one point at a time.
     ///
     /// # Panics
     ///
@@ -157,12 +147,16 @@ impl ReplicatedSweep {
         assert!(!clients.is_empty(), "need at least one client count");
         assert!(!seeds.is_empty(), "need at least one seed");
 
-        let grid: Vec<(Protocol, usize, u64)> = protocols
+        let grid: Vec<PointSpec> = protocols
             .iter()
-            .flat_map(|&p| {
-                clients
-                    .iter()
-                    .flat_map(move |&n| seeds.iter().map(move |&s| (p, n, s)))
+            .flat_map(|&protocol| {
+                clients.iter().flat_map(move |&clients| {
+                    seeds.iter().map(move |&seed| PointSpec {
+                        protocol,
+                        clients,
+                        seed,
+                    })
+                })
             })
             .collect();
         let supervisor = Supervisor {
@@ -171,42 +165,33 @@ impl ReplicatedSweep {
             budget: RunBudget::UNLIMITED,
             retries: 0,
         };
-        let outcomes = supervisor.run_grid(grid.len(), |i, budget| {
-            let (p, n, seed) = grid[i];
+        let run = |i: usize, budget: &RunBudget| {
             let mut cfg = *base;
-            cfg.num_clients = n;
-            cfg.apply_protocol(p);
-            cfg.seed = seed;
-            let r = crate::store::run_point_cached(&cfg, budget, store)?;
-            Ok(RunSample {
-                cov: r.cov,
-                poisson_cov: r.poisson_cov,
-                delivered: r.delivered_packets as f64,
-                loss_percent: r.loss_percent,
-                timeout_ratio: r.timeout_dupack_ratio(),
-            })
-        });
-        let mut samples = Vec::with_capacity(outcomes.len());
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (protocol, clients, seed) = grid[i];
+            cfg.num_clients = grid[i].clients;
+            cfg.apply_protocol(grid[i].protocol);
+            cfg.seed = grid[i].seed;
+            crate::store::run_point_cached(&cfg, budget, store)
+        };
+        let (outcomes, _) =
+            workers::run_points(&InProcess, &supervisor, "", &grid, run, |_, _| Ok(()));
+        let mut reports = Vec::with_capacity(outcomes.len());
+        for (outcome, point) in outcomes.into_iter().zip(&grid) {
             match outcome {
-                PointOutcome::Done(sample) => samples.push(sample),
+                PointOutcome::Done(report) => reports.push(report),
                 PointOutcome::Failed(error) => {
-                    return Err(PointFailure {
-                        point: SweepPoint {
-                            protocol,
-                            clients,
-                            seed,
-                        },
-                        error,
-                    })
+                    let point = SweepPoint {
+                        protocol: point.protocol,
+                        clients: point.clients,
+                        seed: point.seed,
+                    };
+                    return Err(PointFailure { point, error });
                 }
                 PointOutcome::Skipped => unreachable!("keep-going never skips"),
             }
         }
 
         let mut cells = Vec::with_capacity(protocols.len() * clients.len());
-        let mut sample_iter = samples.into_iter();
+        let mut reports = reports.iter();
         for &p in protocols {
             for &n in clients {
                 let mut cov = RunningStats::new();
@@ -215,12 +200,12 @@ impl ReplicatedSweep {
                 let mut ratio = RunningStats::new();
                 let mut poisson = 0.0;
                 for _ in seeds {
-                    let s = sample_iter.next().expect("one sample per grid point");
-                    cov.push(s.cov);
-                    delivered.push(s.delivered);
-                    loss.push(s.loss_percent);
-                    ratio.push(s.timeout_ratio);
-                    poisson = s.poisson_cov;
+                    let r = reports.next().expect("one report per grid point");
+                    cov.push(r.cov);
+                    delivered.push(r.delivered_packets as f64);
+                    loss.push(r.loss_percent);
+                    ratio.push(r.timeout_dupack_ratio());
+                    poisson = r.poisson_cov;
                 }
                 cells.push(ReplicatedCell {
                     protocol: p,

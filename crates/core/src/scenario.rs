@@ -368,33 +368,28 @@ impl Scenario {
     /// [`Scenario::into_report`], with
     /// [`budget_exceeded`](ScenarioReport::budget_exceeded) set.
     ///
-    /// With no limits set and auditing off, this is the exact unmodified
-    /// hot loop — sweeps that opt into nothing pay for nothing.
+    /// One loop serves every run: the scheduler hands out each timestamp's
+    /// run of events from one queue search ([`Scheduler::pop_batched`]),
+    /// and the budget and audit checks are a few predictable branches per
+    /// event, so sweeps that opt into nothing pay next to nothing.
+    ///
+    /// [`Scheduler::pop_batched`]: tcpburst_des::Scheduler::pop_batched
     pub fn run_with_budget(&mut self, budget: &RunBudget) -> Option<ExceededBudget> {
         let started = std::time::Instant::now();
         let horizon = SimTime::ZERO + self.cfg.duration;
-
-        if budget.is_unlimited() && !self.cfg.audit {
-            // Batch dispatch: the scheduler takes each timestamp's full run
-            // of events out of the queue in one search, and the dispatch
-            // order stays event-for-event that of the single-pop loop.
-            while let Some((_, event)) = self.sched.pop_batched(horizon) {
-                self.dispatch(event);
-            }
-            self.absorb_all_due();
-            self.wall_clock += started.elapsed();
-            return None;
-        }
-
         let sim_horizon = match budget.max_sim_time {
             Some(cap) => horizon.min(SimTime::ZERO + cap),
             None => horizon,
         };
+        let audit = self.cfg.audit;
         let mut tripped = None;
         let mut last_t = self.sched.now();
         let mut since_wall_check = 0u32;
-        while let Some((t, event)) = self.sched.pop_until(sim_horizon) {
-            if self.cfg.audit && t < last_t && self.clock_violation.is_none() {
+        // Batch dispatch keeps the dispatch order event-for-event that of a
+        // single-pop loop, and `processed()` still counts each event, so the
+        // event cap stops at exactly the same event.
+        while let Some((t, event)) = self.sched.pop_batched(sim_horizon) {
+            if audit && t < last_t && self.clock_violation.is_none() {
                 self.clock_violation = Some((last_t, t));
             }
             last_t = t;

@@ -40,11 +40,11 @@
 //! resumed sweep leaves the byte-identical journal an uninterrupted run
 //! would have.
 //!
-//! Two further layers compose with supervision (both opt-in):
-//! a content-addressed [result store](crate::store) resolves already-
-//! computed points without simulating, and a [worker
-//! fleet](crate::workers) runs fresh points in crash-isolated worker
-//! processes, local or remote.
+//! Fresh points run on the one claim pool of [`crate::workers`]: on
+//! [`Supervisor::jobs`] threads of the sweep's own process by default, or
+//! on a crash-isolated worker fleet, local or remote, when one is
+//! attached. A content-addressed [result store](crate::store), when
+//! attached, first resolves already-computed points without simulating.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -52,7 +52,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -66,7 +65,9 @@ use crate::scenario::Scenario;
 use crate::store::{self, Digest, ResultStore, ENGINE_SCHEMA_VERSION};
 use crate::daemon::RemoteExec;
 use crate::parallel::effective_jobs;
-use crate::workers::{self, Fleet, LocalFleet, PointSpec, RobustnessCounters, WorkerCommand};
+use crate::workers::{
+    self, Fleet, InProcess, LocalFleet, PointSpec, RobustnessCounters, WorkerCommand,
+};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -177,8 +178,8 @@ impl fmt::Display for ExceededBudget {
 }
 
 /// Per-run watchdog limits. Any combination may be set; [`RunBudget::UNLIMITED`]
-/// disables the watchdog entirely (and with auditing off, the scenario's
-/// fast event loop is used unchanged).
+/// disables the watchdog entirely (the scenario's one dispatch loop then
+/// skips every budget check).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunBudget {
     /// Cap on simulated time; the run is truncated at this horizon.
@@ -196,11 +197,6 @@ impl RunBudget {
         max_events: None,
         max_wall: None,
     };
-
-    /// True when no limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_sim_time.is_none() && self.max_events.is_none() && self.max_wall.is_none()
-    }
 
     /// The budget with every set limit doubled — the deterministic-retry
     /// policy (the same budget on the same seed would fail identically).
@@ -382,8 +378,9 @@ pub enum PointOutcome<T> {
     Skipped,
 }
 
-/// Runs a task grid with per-point panic isolation, watchdog budgets,
-/// bounded deterministic retry and a failure policy.
+/// The settings every supervised grid runs under: job threads, failure
+/// policy, watchdog budget and retry bound. The grid itself runs on the
+/// one claim pool of [`crate::workers`].
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     /// Worker threads (0 = all cores, 1 = fully serial).
@@ -406,61 +403,6 @@ impl Default for Supervisor {
             budget: RunBudget::UNLIMITED,
             retries: 1,
         }
-    }
-}
-
-impl Supervisor {
-    /// Runs `run(0..tasks)` across the worker pool. Each attempt is wrapped
-    /// in `catch_unwind`; a `BudgetExceeded` error is retried with a
-    /// doubled budget up to [`Supervisor::retries`] times. Outcomes come
-    /// back in task order.
-    pub fn run_grid<T, F>(&self, tasks: usize, run: F) -> Vec<PointOutcome<T>>
-    where
-        T: Send,
-        F: Fn(usize, &RunBudget) -> Result<T, RunError> + Sync,
-    {
-        let abort = AtomicBool::new(false);
-        let mut partial =
-            crate::parallel::run_indexed_partial(self.jobs, tasks, |index| {
-                if abort.load(Ordering::SeqCst) {
-                    return PointOutcome::Skipped;
-                }
-                let mut budget = self.budget;
-                let mut attempt = 0u32;
-                loop {
-                    let result = catch_unwind(AssertUnwindSafe(|| run(index, &budget)));
-                    let error = match result {
-                        Ok(Ok(value)) => return PointOutcome::Done(value),
-                        Ok(Err(error)) => error,
-                        Err(payload) => RunError::Panicked {
-                            message: panic_message(payload.as_ref()),
-                        },
-                    };
-                    if matches!(error, RunError::BudgetExceeded { .. }) && attempt < self.retries
-                    {
-                        attempt += 1;
-                        budget = budget.doubled();
-                        continue;
-                    }
-                    if self.policy == FailurePolicy::FailFast {
-                        abort.store(true, Ordering::SeqCst);
-                    }
-                    return PointOutcome::Failed(error);
-                }
-            });
-        // The worker closure never panics (every attempt is caught), so the
-        // partial results are complete; panics would only appear if the
-        // harness itself broke.
-        partial
-            .results
-            .iter_mut()
-            .map(|slot| match slot.take() {
-                Some(outcome) => outcome,
-                None => PointOutcome::Failed(RunError::Panicked {
-                    message: "supervisor worker died before reporting".to_string(),
-                }),
-            })
-            .collect()
     }
 }
 
@@ -1017,7 +959,7 @@ impl SweepSupervisor {
         }
 
         // Phase 2: dispatch what remains — to a worker fleet when one is
-        // configured and worthwhile, the in-process thread pool otherwise.
+        // configured and worthwhile, to in-process threads otherwise.
         let pending: Vec<usize> = (0..grid.len())
             .filter(|i| slots[*i].is_none() && !fail_map.contains_key(i))
             .collect();
@@ -1046,35 +988,24 @@ impl SweepSupervisor {
             None => local.as_ref().map(|local| local as &dyn Fleet),
         }
         .filter(|_| encodable && !pending.is_empty());
-        let (outcomes, robustness) = match fleet {
-            Some(fleet) => {
-                let specs: Vec<PointSpec> = pending
-                    .iter()
-                    .map(|&i| PointSpec {
-                        protocol: grid[i].0,
-                        clients: grid[i].1,
-                        seed,
-                    })
-                    .collect();
-                workers::run_points(
-                    fleet,
-                    &self.supervisor,
-                    &self.digest().hex(),
-                    &specs,
-                    |j, budget| run_point(&cfgs[pending[j]], budget),
-                    |j, report| complete(pending[j], report),
-                )
-            }
-            None => {
-                let outcomes = self.supervisor.run_grid(pending.len(), |j, budget| {
-                    let i = pending[j];
-                    let report = run_point(&cfgs[i], budget)?;
-                    complete(i, &report)?;
-                    Ok(report)
-                });
-                (outcomes, RobustnessCounters::default())
-            }
-        };
+        let specs: Vec<PointSpec> = pending
+            .iter()
+            .map(|&i| PointSpec {
+                protocol: grid[i].0,
+                clients: grid[i].1,
+                seed,
+            })
+            .collect();
+        let (outcomes, counters) = workers::run_points(
+            fleet.unwrap_or(&InProcess),
+            &self.supervisor,
+            &self.digest().hex(),
+            &specs,
+            |j, budget| run_point(&cfgs[pending[j]], budget),
+            |j, report| complete(pending[j], report),
+        );
+        // A purely in-process run has no control plane to account for.
+        let robustness = if fleet.is_some() { counters } else { RobustnessCounters::default() };
 
         // Phase 3: merge everything back in canonical grid order.
         let completed_points = outcomes
@@ -1202,7 +1133,7 @@ mod tests {
         assert_eq!(d.max_sim_time, Some(SimDuration::from_secs(6)));
         assert_eq!(d.max_events, Some(2000));
         assert_eq!(d.max_wall, Some(Duration::from_millis(20)));
-        assert!(RunBudget::UNLIMITED.doubled().is_unlimited());
+        assert_eq!(RunBudget::UNLIMITED.doubled(), RunBudget::UNLIMITED);
     }
 
     #[test]

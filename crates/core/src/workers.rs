@@ -1,22 +1,25 @@
-//! Sweep execution on worker processes, and the one scheduler that drives
-//! every worker fleet.
+//! The one scheduler of every supervised grid: in-process threads, worker
+//! processes and remote workers all claim from one pool.
 //!
-//! Thread-level fan-out ([`crate::parallel`]) shares one address space: a
-//! segfault, allocator corruption or OOM kill in any grid point takes the
-//! whole sweep down. This module moves the blast radius to worker
-//! processes. A *fleet* is a source of worker connections:
+//! A supervised sweep or replication hands its points to `run_points`,
+//! which computes them on whatever a *fleet* provides:
 //!
+//! * no fleet at all (`InProcess`, the default): [`Supervisor::jobs`]
+//!   threads of the sweep's own process, started at once, compute every
+//!   point, and the sweep reports no robustness counters for them;
 //! * `--workers N` spawns `N` copies of the harness binary running the
 //!   hidden `tcpburst worker` subcommand and talks to each over its
-//!   stdin/stdout pipes;
+//!   stdin/stdout pipes, so a segfault, allocator corruption or OOM kill
+//!   in one grid point costs one worker process, not the sweep;
 //! * the sweep daemon ([`crate::daemon`]) hands over the
 //!   `tcpburst worker --connect` processes that registered with it over
 //!   TCP.
 //!
-//! Both fleets feed one claim pool (`run_points`). Each worker gets a
-//! thread of its own that claims the next unclaimed point (requeued points
-//! first), ships it and waits for the reply, so the pool work-steals like
-//! the thread pool. The sweep's own thread blocks on one channel that
+//! Each worker gets a thread of its own that claims the next unclaimed
+//! point (requeued points first), ships it and waits for the reply; each
+//! in-process helper thread claims and computes. Either way the pool
+//! work-steals, and the failure policy, budget retries and panic isolation
+//! are the same code. The sweep's own thread blocks on one channel that
 //! carries worker arrivals, worker exits and point resolutions; nothing
 //! polls.
 //!
@@ -45,6 +48,10 @@
 //!   [`Supervisor::jobs`] threads of the sweep's own process, which claim
 //!   from the same pool, so a late worker still shares what is left. Each
 //!   such point counts in `in_process_points`.
+//! * **Panicking point.** Every in-process attempt runs under
+//!   `catch_unwind`: a panic fails only its own point, as
+//!   [`RunError::Panicked`], and is never retried (the simulation is
+//!   deterministic, so it would recur).
 //!
 //! A point is resolved exactly once: a late duplicate reply for a point
 //! that is already resolved is discarded, so the journal never sees a
@@ -77,6 +84,7 @@
 //! only who computes a point, never its bytes.
 
 use std::io::{self, BufReader};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -94,7 +102,9 @@ use crate::net_transport::{FrameError, FrameTransport, PipeTransport};
 use crate::parallel::effective_jobs;
 use crate::report::ScenarioReport;
 use crate::store::ENGINE_SCHEMA_VERSION;
-use crate::supervise::{FailurePolicy, PointOutcome, RunBudget, RunError, Supervisor};
+use crate::supervise::{
+    panic_message, FailurePolicy, PointOutcome, RunBudget, RunError, Supervisor,
+};
 
 /// Environment variable naming a grid-point index at which a worker
 /// process deliberately aborts — the crash-isolation test hook. Unset in
@@ -543,6 +553,20 @@ pub(crate) trait Fleet: Sync {
     }
 }
 
+/// No fleet: every point is computed on [`Supervisor::jobs`] threads of
+/// the sweep's own process, started at once (its grace period is zero).
+pub(crate) struct InProcess;
+
+impl Fleet for InProcess {
+    fn open(&self, _: &Sender<Event>) -> usize {
+        0
+    }
+
+    fn spawn(&self) -> Option<Worker> {
+        None
+    }
+}
+
 /// The `--workers N` fleet: `workers` local children of `command`, each
 /// replaced when it dies.
 pub(crate) struct LocalFleet {
@@ -632,7 +656,8 @@ where
             });
         };
         // Worker and helper threads running, and the no-worker state: a
-        // grace timer armed in `epoch`, then helpers once it runs out.
+        // grace timer armed in `epoch`, then helpers once it runs out (at
+        // once for a zero grace period, with no timer).
         let mut live = fleet.open(&ctx.events);
         (0..live).for_each(|_| start(None));
         let mut epoch = 0u64;
@@ -643,7 +668,7 @@ where
                 Ok(event) => event,
                 Err(_) => {
                     if live == 0 {
-                        if degraded {
+                        if degraded || tuning.grace.is_zero() {
                             let unclaimed = ctx.unclaimed();
                             if unclaimed > 0 {
                                 live = effective_jobs(sup.jobs, unclaimed);
@@ -846,11 +871,19 @@ impl RunCtx<'_> {
         }
     }
 
-    /// Computes point `j` in-process, with the same budget retries.
+    /// Computes point `j` in-process, with the same budget retries; a
+    /// panic fails only this point and is never retried.
     fn run_local(&self, j: usize) {
         self.count(|c| c.in_process_points += 1);
         loop {
-            match (self.fallback)(j, &self.budget_for(j)) {
+            let budget = self.budget_for(j);
+            let attempt = catch_unwind(AssertUnwindSafe(|| (self.fallback)(j, &budget)));
+            let outcome = attempt.unwrap_or_else(|payload| {
+                Err(RunError::Panicked {
+                    message: panic_message(payload.as_ref()),
+                })
+            });
+            match outcome {
                 Ok(report) => return self.resolve(j, PointOutcome::Done(report)),
                 Err(e) if e.kind() == "budget-exceeded" && self.retry_budget(j) => {}
                 Err(e) => return self.resolve(j, PointOutcome::Failed(e)),
@@ -1234,6 +1267,58 @@ mod tests {
         let (outcomes, counters) = run_points(&DeadFleet, &sup, "", &[spec; 2], meet, |_, _| Ok(()));
         assert!(all_done(&outcomes), "{outcomes:?}");
         assert_eq!(counters.in_process_points, 2);
+    }
+
+    #[test]
+    fn keep_going_isolates_a_panicking_point() {
+        // On its own thread, bounded: a panic that escaped its helper would
+        // leave point 5 unresolved and the run waiting forever.
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let calls: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
+            let fallback = |j: usize, _: &RunBudget| {
+                calls[j].fetch_add(1, Ordering::SeqCst);
+                if j == 5 {
+                    panic!("deliberate point failure");
+                }
+                Ok(report(j))
+            };
+            let sup = Supervisor {
+                jobs: 2,
+                retries: 5,
+                ..Supervisor::default()
+            };
+            let spec = PointSpec {
+                protocol: Protocol::Reno,
+                clients: 3,
+                seed: 1,
+            };
+            let specs = [spec; 8];
+            let (outcomes, _) = run_points(&InProcess, &sup, "", &specs, fallback, |_, _| Ok(()));
+            let calls: Vec<u32> = calls.into_iter().map(AtomicU32::into_inner).collect();
+            let _ = tx.send((outcomes, calls));
+        });
+        let (outcomes, calls) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the run ends despite the panic");
+        for (j, outcome) in outcomes.iter().enumerate() {
+            match outcome {
+                PointOutcome::Done(r) => assert_eq!(r.events_processed, j as u64, "point {j}"),
+                PointOutcome::Failed(RunError::Panicked { message }) if j == 5 => {
+                    assert_eq!(message, "deliberate point failure");
+                }
+                other => panic!("unexpected outcome at {j}: {other:?}"),
+            }
+        }
+        assert!(
+            matches!(outcomes[5], PointOutcome::Failed(_)),
+            "point 5 fails"
+        );
+        assert_eq!(
+            calls,
+            vec![1; 8],
+            "a panic is never retried, even with retries left"
+        );
     }
 
     #[test]

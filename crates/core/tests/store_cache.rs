@@ -15,7 +15,7 @@ use tcpburst_core::{
 };
 
 mod common;
-use common::{canonical_bytes, temp_path};
+use common::{canonical_bytes, tcpburst, temp_dir, temp_path};
 
 fn small_cfg(seed: u64) -> ScenarioConfig {
     ScenarioBuilder::paper()
@@ -501,4 +501,26 @@ fn traced_configurations_bypass_the_store() {
     );
 
     let _ = fs::remove_dir_all(&root);
+}
+
+/// A traced sweep or replication never consults the store, so with a store
+/// open it prints no `cache:` line; an untraced one still does.
+#[test]
+fn a_traced_cli_run_prints_no_cache_line() {
+    let dir = temp_dir("cache-line");
+    let sweep = "sweep --protocols reno --clients 5 --secs 2";
+    let replicate = "replicate --protocols reno --clients 5 --secs 2 --seeds 2";
+    for cmd in [sweep, replicate] {
+        for traced in [true, false] {
+            let mut args: Vec<&str> = cmd.split_whitespace().collect();
+            if traced {
+                args.push("--trace-hops");
+            }
+            let out = tcpburst(&dir, &args, &[]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{args:?} fails: {stderr}");
+            assert_eq!(stderr.contains("cache: "), !traced, "{args:?}: {stderr}");
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -1,20 +1,19 @@
-//! Integration tests of the sweep supervisor: panic isolation, failure
-//! policies, watchdog budgets with doubling retries, the invariant
+//! Integration tests of the sweep supervisor: failure policies, watchdog
+//! budgets with doubling retries, the invariant
 //! auditor on the paper's own configurations, and store resolution that
 //! is the same at any job count.
 
 use std::fs;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use tcpburst_core::{
-    point_digest, run_point, ExceededBudget, FailurePolicy, PointOutcome, Protocol, ResultStore,
-    RunBudget, RunError, Scenario, ScenarioBuilder, ScenarioConfig, Supervisor,
-    SweepSupervisor,
+    point_digest, run_point, ExceededBudget, FailurePolicy, Protocol, ResultStore, RunBudget,
+    RunError, Scenario, ScenarioBuilder, ScenarioConfig, SweepSupervisor,
 };
 
 mod common;
-use common::{figure_tables, temp_path};
+use common::{figure_tables, tcpburst, temp_dir, temp_path};
 
 fn audited_cfg(protocol: Protocol, clients: usize, secs: u64) -> ScenarioConfig {
     ScenarioBuilder::paper()
@@ -24,121 +23,139 @@ fn audited_cfg(protocol: Protocol, clients: usize, secs: u64) -> ScenarioConfig 
         .finish()
 }
 
-#[test]
-fn keep_going_isolates_a_panicking_point() {
-    let sup = Supervisor {
-        jobs: 2,
-        policy: FailurePolicy::KeepGoing,
-        budget: RunBudget::UNLIMITED,
-        retries: 0,
+/// An event cap that the given Reno points finish under.
+fn cap_for(base: &ScenarioConfig, clients: &[usize]) -> u64 {
+    let events = |&n: &usize| {
+        let cfg = ScenarioBuilder::from_config(*base)
+            .topology(|t| t.clients(n))
+            .transport(|t| t.protocol(Protocol::Reno))
+            .finish();
+        run_point(&cfg, &RunBudget::UNLIMITED)
+            .expect("runs")
+            .events_processed
     };
-    let outcomes = sup.run_grid(8, |i, _| {
-        if i == 5 {
-            panic!("deliberate point failure");
-        }
-        Ok(i * i)
-    });
-    assert_eq!(outcomes.len(), 8);
-    let mut done = 0;
-    for (i, o) in outcomes.iter().enumerate() {
-        match o {
-            PointOutcome::Done(v) => {
-                assert_eq!(*v, i * i);
-                done += 1;
-            }
-            PointOutcome::Failed(RunError::Panicked { message }) => {
-                assert_eq!(i, 5, "only point 5 panics");
-                assert!(message.contains("deliberate point failure"));
-            }
-            other => panic!("unexpected outcome at {i}: {other:?}"),
-        }
-    }
-    assert_eq!(done, 7, "the other seven points must survive the panic");
+    clients
+        .iter()
+        .map(events)
+        .max()
+        .expect("at least one point")
 }
 
 #[test]
 fn fail_fast_skips_the_tail_serially() {
-    // With one worker the claim order is the task order, so the skipped
-    // set is exactly the tail after the failure.
-    let sup = Supervisor {
-        jobs: 1,
-        policy: FailurePolicy::FailFast,
-        retries: 0,
-        ..Supervisor::default()
-    };
-    let outcomes = sup.run_grid(6, |i, _| {
-        if i == 2 {
-            panic!("boom");
-        }
-        Ok(i)
-    });
-    assert!(matches!(outcomes[0], PointOutcome::Done(0)));
-    assert!(matches!(outcomes[1], PointOutcome::Done(1)));
+    // With one job the claim order is the grid order, so the skipped set
+    // is exactly the tail after the failure. The event cap lets the two
+    // small points finish and stops the third.
+    let base = ScenarioBuilder::paper()
+        .instrumentation(|i| i.secs(2))
+        .finish();
+    let cap = cap_for(&base, &[2, 3]);
+    assert!(
+        cap_for(&base, &[30]) > cap,
+        "30 clients need more events than 3"
+    );
+    let swept = SweepSupervisor::new(&base, &[Protocol::Reno], &[2, 3, 30, 35, 40])
+        .jobs(1)
+        .policy(FailurePolicy::FailFast)
+        .budget(RunBudget {
+            max_events: Some(cap),
+            ..RunBudget::UNLIMITED
+        })
+        .retries(0)
+        .run();
+    let done: Vec<usize> = swept.sweep.cells.iter().map(|c| c.clients).collect();
+    assert_eq!(done, vec![2, 3]);
+    assert_eq!(swept.failures.len(), 1);
+    assert_eq!(swept.failures[0].point.clients, 30);
     assert!(matches!(
-        outcomes[2],
-        PointOutcome::Failed(RunError::Panicked { .. })
+        swept.failures[0].error,
+        RunError::BudgetExceeded { .. }
     ));
-    for o in &outcomes[3..] {
-        assert!(matches!(o, PointOutcome::Skipped));
-    }
+    let skipped: Vec<usize> = swept.skipped.iter().map(|p| p.clients).collect();
+    assert_eq!(skipped, vec![35, 40]);
+    assert!(
+        !swept.robustness.any(),
+        "an in-process sweep has no control plane"
+    );
 }
 
 #[test]
 fn budget_failures_retry_with_doubled_budget() {
     // A 5-second Reno run needs far more than 200 events, so every attempt
-    // exhausts its budget; the supervisor must hand the closure 50, then
-    // 100, then 200 events before giving up.
-    let cfg = audited_cfg(Protocol::Reno, 5, 5);
-    let budgets = Mutex::new(Vec::new());
-    let sup = Supervisor {
-        jobs: 1,
-        policy: FailurePolicy::KeepGoing,
-        budget: RunBudget {
+    // exhausts its budget: 50, then 100, then 200 events before the point
+    // fails with the last attempt's partial report.
+    let base = audited_cfg(Protocol::Reno, 5, 5);
+    let swept = SweepSupervisor::new(&base, &[Protocol::Reno], &[5])
+        .jobs(1)
+        .budget(RunBudget {
             max_events: Some(50),
             ..RunBudget::UNLIMITED
+        })
+        .retries(2)
+        .run();
+    assert!(swept.sweep.cells.is_empty());
+    match &swept.failures[..] {
+        [failure] => match &failure.error {
+            RunError::BudgetExceeded { exceeded, report } => {
+                assert!(matches!(exceeded, ExceededBudget::Events));
+                // The diagnostic partial report survives the abort.
+                assert!(matches!(
+                    report.budget_exceeded,
+                    Some(ExceededBudget::Events)
+                ));
+                assert_eq!(report.events_processed, 200);
+                assert!(report.to_string().contains("PARTIAL RUN"));
+            }
+            other => panic!("expected a budget failure, got {other:?}"),
         },
-        retries: 2,
-    };
-    let outcomes = sup.run_grid(1, |_, budget| {
-        budgets
-            .lock()
-            .expect("no poisoned lock")
-            .push(budget.max_events.expect("event cap set"));
-        run_point(&cfg, budget).map(|r| r.events_processed)
-    });
-    assert_eq!(*budgets.lock().expect("no poisoned lock"), vec![50, 100, 200]);
-    match &outcomes[0] {
-        PointOutcome::Failed(RunError::BudgetExceeded { exceeded, report }) => {
-            assert!(matches!(exceeded, ExceededBudget::Events));
-            // The diagnostic partial report survives the abort.
-            assert!(matches!(
-                report.budget_exceeded,
-                Some(ExceededBudget::Events)
-            ));
-            assert_eq!(report.events_processed, 200);
-            assert!(report.to_string().contains("PARTIAL RUN"));
-        }
-        other => panic!("expected a budget failure, got {other:?}"),
+        other => panic!("expected one failure, got {other:?}"),
     }
 }
 
+/// The CLI's failure policies on the in-process path: three Reno points
+/// that each outrun a 50-event cap.
+fn budget_starved_sweep(extra: &str) -> (bool, String) {
+    let dir = temp_dir("policy");
+    let sweep = format!(
+        "sweep --protocols reno --clients 5,15,25 --secs 3 --no-cache \
+         --max-events 50 --retries 0 {extra}"
+    );
+    let args: Vec<&str> = sweep.split_whitespace().collect();
+    let out = tcpburst(&dir, &args, &[]);
+    let _ = fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.success(), stderr)
+}
+
+fn lines_starting(text: &str, prefix: &str) -> Vec<String> {
+    text.lines()
+        .filter(|l| l.starts_with(prefix))
+        .map(str::to_string)
+        .collect()
+}
+
 #[test]
-fn panics_are_never_retried() {
-    let attempts = Mutex::new(0u32);
-    let sup = Supervisor {
-        jobs: 1,
-        retries: 5,
-        ..Supervisor::default()
-    };
-    let outcomes = sup.run_grid(1, |_, _| -> Result<(), RunError> {
-        *attempts.lock().expect("no poisoned lock") += 1;
-        panic!("deterministic panic would recur");
-    });
-    assert_eq!(*attempts.lock().expect("no poisoned lock"), 1);
-    assert!(matches!(
-        outcomes[0],
-        PointOutcome::Failed(RunError::Panicked { .. })
-    ));
+fn cli_fail_fast_fails_one_point_and_skips_the_rest() {
+    let (ok, stderr) = budget_starved_sweep("--jobs 1 --fail-fast");
+    assert!(!ok, "a failed point fails the command: {stderr}");
+    assert_eq!(lines_starting(&stderr, "FAILED").len(), 1, "{stderr}");
+    assert_eq!(lines_starting(&stderr, "SKIPPED").len(), 2, "{stderr}");
+    assert!(!stderr.contains("robustness:"), "{stderr}");
+}
+
+#[test]
+fn cli_keep_going_fails_every_point_at_any_job_count() {
+    let (ok, serial) = budget_starved_sweep("--jobs 1 --keep-going");
+    assert!(!ok, "failed points fail the command: {serial}");
+    let failed = lines_starting(&serial, "FAILED");
+    assert_eq!(failed.len(), 3, "{serial}");
+    assert!(lines_starting(&serial, "SKIPPED").is_empty(), "{serial}");
+    let (_, pooled) = budget_starved_sweep("--jobs 4 --keep-going");
+    assert_eq!(
+        lines_starting(&pooled, "FAILED"),
+        failed,
+        "--jobs 4 disagrees"
+    );
 }
 
 #[test]

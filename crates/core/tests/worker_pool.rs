@@ -15,6 +15,9 @@ fn worker_processes_match_in_process_output_byte_for_byte() {
 
     let serial = tcpburst(&dir, SWEEP, &[]);
     assert!(serial.status.success(), "in-process sweep fails: {serial:?}");
+    // No fleet, no control plane: a plain sweep reports no counters.
+    let stderr = String::from_utf8_lossy(&serial.stderr);
+    assert!(!stderr.contains("robustness:"), "{stderr}");
 
     let mut forked = SWEEP.to_vec();
     forked.extend_from_slice(&["--workers", "2"]);

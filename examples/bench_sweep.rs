@@ -24,6 +24,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use tcpburst_core::experiments::Sweep;
@@ -152,20 +153,22 @@ fn main() {
 
     // --- Cold vs. warm result cache ------------------------------------
     let root = std::env::temp_dir().join(format!("tcpburst-bench-store-{}", std::process::id()));
-    let store = ResultStore::open(&root).expect("temp cache root is creatable");
-    let start = Instant::now();
-    let cold = Sweep::run_cached_from(&base, &Protocol::PAPER_SET, &CLIENTS, max_jobs, &store);
-    let cold_s = start.elapsed().as_secs_f64();
-    assert_eq!(serial_table, cold.fig2_cov_table());
-
-    let store = ResultStore::open(&root).expect("temp cache root reopens");
-    let start = Instant::now();
-    let warm = Sweep::run_cached_from(&base, &Protocol::PAPER_SET, &CLIENTS, max_jobs, &store);
-    let warm_s = start.elapsed().as_secs_f64();
-    let warm_hits = store.stats().hits;
-    // A warm sweep is pure cache reads — and still the same bytes.
-    assert_eq!(serial_table, warm.fig2_cov_table());
-    assert_eq!(warm_hits as usize, points, "warm sweep must be 100% hits");
+    let cached = || {
+        let store = ResultStore::open(&root).expect("temp cache root is creatable");
+        let start = Instant::now();
+        let swept = SweepSupervisor::new(&base, &Protocol::PAPER_SET, &CLIENTS)
+            .jobs(max_jobs)
+            .store(Arc::new(store))
+            .run();
+        let wall_s = start.elapsed().as_secs_f64();
+        assert!(swept.all_complete(), "cached sweep lost points");
+        // Cold or warm, the cache must not change the answer.
+        assert_eq!(serial_table, swept.sweep.fig2_cov_table());
+        (swept.cache_hits, wall_s)
+    };
+    let (_, cold_s) = cached();
+    let (warm_hits, warm_s) = cached();
+    assert_eq!(warm_hits, points, "warm sweep must be 100% hits");
     let _ = std::fs::remove_dir_all(&root);
     println!(
         "  cache: cold {cold_s:.2} s, warm {warm_s:.4} s ({:.0}x)",

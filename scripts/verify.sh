@@ -245,6 +245,21 @@ if [ -n "$DBLEAK" ]; then
 fi
 echo "core reads topology only through BuiltTopology handles"
 
+echo "==> scheduler layer: no claim pool outside run_indexed and run_points"
+# Grids run on two pools only: parallel.rs (run_indexed, the plain
+# fan-out) and workers.rs (run_points, every supervised grid, in-process
+# or on workers). A scoped thread pool anywhere else in core is a third
+# scheduler growing back. Comments are exempt.
+POOLS="$(grep -RnF 'thread::scope' crates/core/src --include='*.rs' \
+    | grep -vE '^crates/core/src/(parallel|workers)\.rs:' \
+    | grep -vE ':[0-9]+:\s*//' || true)"
+if [ -n "$POOLS" ]; then
+    echo "scoped thread pool outside parallel.rs and workers.rs:" >&2
+    echo "$POOLS" >&2
+    exit 1
+fi
+echo "grids are scheduled only by run_indexed and run_points"
+
 echo "==> robustness: no bare unwrap in non-test library code"
 # Scan crates/core/src and crates/net/src, ignoring everything at or below
 # a #[cfg(test)] marker in each file (module tests live at the bottom).
