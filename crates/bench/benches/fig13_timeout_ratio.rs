@@ -5,8 +5,7 @@
 //! losses by (synchronizing) retransmission timeouts; Vegas's fine-grained
 //! duplicate-ACK retransmission keeps its ratio far lower.
 
-use tcpburst_bench::{bench_duration, bench_seed, fig3_clients, write_figure_csv};
-use tcpburst_core::experiments::Sweep;
+use tcpburst_bench::{bench_duration, bench_seed, fig3_clients, sweep, write_figure_csv};
 use tcpburst_core::Protocol;
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
         clients.len(),
         duration
     );
-    let sweep = Sweep::run(&Protocol::PAPER_TCP_SET, &clients, duration, bench_seed());
+    let sweep = sweep(&Protocol::PAPER_TCP_SET, &clients, &[bench_seed()]);
     println!("{}", sweep.fig13_timeout_ratio_table());
     write_figure_csv("fig13_timeout_ratio.csv", &sweep.to_csv());
     write_figure_csv("fig13_timeout_ratio.svg", &sweep.fig13_timeout_ratio_svg());

@@ -7,8 +7,7 @@
 //! far above the reference (>140% and >200% at heavy congestion) and Vegas
 //! lowest among the TCPs.
 
-use tcpburst_bench::{bench_duration, bench_seed, fig2_clients, write_figure_csv};
-use tcpburst_core::experiments::Sweep;
+use tcpburst_bench::{bench_duration, bench_seed, fig2_clients, sweep, write_figure_csv};
 use tcpburst_core::Protocol;
 
 fn main() {
@@ -20,7 +19,7 @@ fn main() {
         clients.len(),
         duration
     );
-    let sweep = Sweep::run(&Protocol::PAPER_SET, &clients, duration, bench_seed());
+    let sweep = sweep(&Protocol::PAPER_SET, &clients, &[bench_seed()]);
     println!("{}", sweep.fig2_cov_table());
     write_figure_csv("fig2_cov.csv", &sweep.to_csv());
     write_figure_csv("fig2_cov.svg", &sweep.fig2_cov_svg());

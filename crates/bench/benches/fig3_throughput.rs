@@ -5,8 +5,7 @@
 //! capacity; plain Reno/Vegas beat their RED counterparts; Vegas at least
 //! matches Reno.
 
-use tcpburst_bench::{bench_duration, bench_seed, fig3_clients, write_figure_csv};
-use tcpburst_core::experiments::Sweep;
+use tcpburst_bench::{bench_duration, bench_seed, fig3_clients, sweep, write_figure_csv};
 use tcpburst_core::Protocol;
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
         clients.len(),
         duration
     );
-    let sweep = Sweep::run(&Protocol::PAPER_TCP_SET, &clients, duration, bench_seed());
+    let sweep = sweep(&Protocol::PAPER_TCP_SET, &clients, &[bench_seed()]);
     println!("{}", sweep.fig3_throughput_table());
     write_figure_csv("fig3_throughput.csv", &sweep.to_csv());
     write_figure_csv("fig3_throughput.svg", &sweep.fig3_throughput_svg());

@@ -5,8 +5,7 @@
 //! Vegas loses least; Vegas/RED loses *most* (duplicate ACKs push data into
 //! an already-full RED gateway).
 
-use tcpburst_bench::{bench_duration, bench_seed, fig3_clients, write_figure_csv};
-use tcpburst_core::experiments::Sweep;
+use tcpburst_bench::{bench_duration, bench_seed, fig3_clients, sweep, write_figure_csv};
 use tcpburst_core::Protocol;
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
         clients.len(),
         duration
     );
-    let sweep = Sweep::run(&Protocol::PAPER_TCP_SET, &clients, duration, bench_seed());
+    let sweep = sweep(&Protocol::PAPER_TCP_SET, &clients, &[bench_seed()]);
     println!("{}", sweep.fig4_loss_table());
     write_figure_csv("fig4_loss.csv", &sweep.to_csv());
     write_figure_csv("fig4_loss.svg", &sweep.fig4_loss_svg());

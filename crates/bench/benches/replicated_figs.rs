@@ -1,12 +1,13 @@
 //! Replicated figures: every Figure 2/3/4/13 metric as mean ± 95% CI over
 //! independent seeds, quantifying how much of each curve is signal.
 //!
-//! Honours `TCPBURST_SECS` like the single-run figure targets and
-//! `TCPBURST_REPS` for the number of seeds (default 5).
+//! Honours `TCPBURST_SECS` and `TCPBURST_SEED` like the single-run figure
+//! targets (seeds run from `TCPBURST_SEED` up) and `TCPBURST_REPS` for the
+//! number of seeds (default 5).
 
 use std::env;
 
-use tcpburst_bench::bench_duration;
+use tcpburst_bench::{bench_duration, bench_seed, sweep};
 use tcpburst_core::{Protocol, ReplicatedSweep};
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5);
-    let seeds: Vec<u64> = (0..reps).map(|i| 0x1CDC_2000 + i).collect();
+    let seeds: Vec<u64> = (0..reps).map(|i| bench_seed() + i).collect();
     // A coarser client grid than the single-run figures keeps the
     // replicated sweep affordable: 3 regimes x protocols x seeds.
     let clients = [20usize, 39, 60];
@@ -26,9 +27,8 @@ fn main() {
         seeds.len(),
         duration
     );
-    let sweep = ReplicatedSweep::run(&Protocol::PAPER_SET, &clients, duration, &seeds);
-    println!("{}", sweep.fig2_cov_table());
-    println!("{}", sweep.fig3_throughput_table());
-    println!("{}", sweep.fig4_loss_table());
-    println!("{}", sweep.fig13_ratio_table());
+    let replicated = ReplicatedSweep::from_sweep(&sweep(&Protocol::PAPER_SET, &clients, &seeds));
+    for table in replicated.tables() {
+        println!("{table}");
+    }
 }

@@ -14,6 +14,8 @@ use std::env;
 use std::fs;
 use std::path::PathBuf;
 
+use tcpburst_core::experiments::Sweep;
+use tcpburst_core::{Protocol, ScenarioBuilder, SweepSupervisor};
 use tcpburst_des::SimDuration;
 
 /// Simulated duration per scenario, from `TCPBURST_SECS` (default: the
@@ -44,6 +46,23 @@ pub fn fig2_clients() -> Vec<usize> {
 /// The client-count grid of Figures 3, 4 and 13.
 pub fn fig3_clients() -> Vec<usize> {
     vec![30, 34, 38, 39, 42, 45, 50, 55, 60]
+}
+
+/// Runs the paper grid `protocols × clients`, once per seed in `seeds`, for
+/// [`bench_duration`] a point on every core, through the sweep supervisor
+/// the CLI uses. A failed point is reported on stderr and left out, so its
+/// cell renders as `-`.
+pub fn sweep(protocols: &[Protocol], clients: &[usize], seeds: &[u64]) -> Sweep {
+    let base = ScenarioBuilder::paper()
+        .instrumentation(|i| i.duration(bench_duration()))
+        .finish();
+    let run = SweepSupervisor::new(&base, protocols, clients)
+        .seeds(seeds)
+        .run();
+    for failure in &run.failures {
+        eprintln!("FAILED  {failure}");
+    }
+    run.sweep
 }
 
 /// Directory where bench targets drop full-resolution CSVs.

@@ -34,7 +34,7 @@ USAGE:
     tcpburst run       [scenario flags]
     tcpburst sweep     [scenario flags] [--clients a,b,c,...] [--jobs N]
     tcpburst replicate [scenario flags] [--clients a,b,c,...] [--seeds R]
-                       [--jobs N]
+                       [--jobs N]  (takes every sweep flag below)
     tcpburst cwnd      [scenario flags]
     tcpburst table1
     tcpburst serve     --listen ADDR [--token T] [--once]
@@ -50,12 +50,13 @@ ORCHESTRATION:
     --protocols a,b,c      sweep/replicate protocol set (default: the
                            paper's six, or the --variant's own column when
                            one is named; accepts any PROTOCOLS name)
-    --seeds R              replications per grid point (from --seed up)
+    --seeds R              replicate only: replications per grid point
+                           (seeds --seed .. --seed + R; default 5)
     --jobs N               worker threads; 0 = all cores
-    --workers N            sweep only: spread fresh grid points across N
-                           crash-isolated worker *processes* (0 = all cores;
-                           default 1 = in-process threads); output is
-                           byte-identical at every N
+    --workers N            spread fresh grid points across N crash-isolated
+                           worker *processes* (0 = all cores; default 1 =
+                           in-process threads); output is byte-identical at
+                           every N
 
 RESULT CACHE (sweep and replicate; `run` always simulates):
     --cache PATH           content-addressed result store location (default:
@@ -81,9 +82,9 @@ ROBUSTNESS (supervision and watchdog budgets):
                            (budgets apply to `run` too: the partial report
                            prints, marked PARTIAL RUN, and the exit is
                            nonzero)
-    --journal PATH         append each completed sweep point, with its full
-                           report (wall clock excepted), to a JSONL journal
-                           (truncates PATH)
+    --journal PATH         append each completed sweep or replicate point,
+                           with its full report (wall clock excepted), to a
+                           JSONL journal (truncates PATH)
     --resume PATH          restore points already in the journal as full
                            reports; the output is byte-identical to an
                            uninterrupted sweep (a journal from another engine
@@ -169,7 +170,8 @@ struct Args {
     protocol: Protocol,
     client_list: Vec<usize>,
     protocol_set: Vec<Protocol>,
-    seeds: usize,
+    /// `--seeds`, when given: only `replicate` has a seed axis.
+    seeds: Option<usize>,
     jobs: usize,
     workers: usize,
     cache: CacheChoice,
@@ -262,7 +264,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut protocol_set: Vec<Protocol> = Protocol::PAPER_SET.to_vec();
     let mut protocols_explicit = false;
     let mut variant_protocol: Option<Protocol> = None;
-    let mut seeds = 5usize;
+    let mut seeds = None;
     let mut jobs = 0usize;
     let mut workers = 1usize;
     let mut cache = CacheChoice::Default;
@@ -275,10 +277,11 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         match flag.as_str() {
             "--seeds" => {
                 let v = argv.next().ok_or("--seeds requires a value")?;
-                seeds = v.parse().map_err(|e| format!("--seeds: {e}"))?;
-                if seeds == 0 {
+                let n: usize = v.parse().map_err(|e| format!("--seeds: {e}"))?;
+                if n == 0 {
                     return Err("--seeds must be at least 1".into());
                 }
+                seeds = Some(n);
             }
             "--protocols" => {
                 let v = argv.next().ok_or("--protocols requires a value")?;
@@ -500,21 +503,21 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let mut out = std::io::stdout().lock();
-    let mut err = std::io::stderr().lock();
-    run_sweep(args, None, &mut out, &mut err)
-}
-
-/// The sweep body, shared by the `sweep` command (stdout/stderr) and the
-/// daemon's job loop (buffers streamed back to the submitter). `remote`
-/// attaches the daemon's remote-worker executor.
+/// The sweep body, shared by the `sweep` and `replicate` commands
+/// (stdout/stderr) and the daemon's job loop (buffers streamed back to the
+/// submitter). `replicate` runs every point on seeds `--seed .. --seed + R`
+/// and folds them into mean ± CI tables; `remote` attaches the daemon's
+/// remote-worker executor.
 fn run_sweep(
     args: &Args,
+    replicate: bool,
     remote: Option<Arc<RemoteExec>>,
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), String> {
+    if args.seeds.is_some() && !replicate {
+        return Err("--seeds applies only to replicate; a sweep runs the one --seed".into());
+    }
     // A traced sweep never consults the store, so it reports no cache line.
     let store = open_store(&args.cache)?.filter(|_| store::cacheable(&args.cfg));
     let mut supervisor = SweepSupervisor::new(&args.cfg, &args.protocol_set, &args.client_list)
@@ -522,6 +525,12 @@ fn run_sweep(
         .policy(args.policy)
         .budget(args.budget)
         .retries(args.retries);
+    if replicate {
+        let seeds: Vec<u64> = (0..args.seeds.unwrap_or(5) as u64)
+            .map(|i| args.cfg.seed + i)
+            .collect();
+        supervisor = supervisor.seeds(&seeds);
+    }
     if let Some(store) = &store {
         supervisor = supervisor.store(Arc::clone(store));
     }
@@ -546,11 +555,14 @@ fn run_sweep(
     // fresh, journalled, resumed, cached, in-process, in worker processes
     // or on remote workers under chaos; supervision bookkeeping goes to
     // stderr.
-    let w = |e: std::io::Error| format!("writing output: {e}");
-    writeln!(out, "{}", supervised.sweep.fig2_cov_table()).map_err(w)?;
-    writeln!(out, "{}", supervised.sweep.fig3_throughput_table()).map_err(w)?;
-    writeln!(out, "{}", supervised.sweep.fig4_loss_table()).map_err(w)?;
-    writeln!(out, "{}", supervised.sweep.fig13_timeout_ratio_table()).map_err(w)?;
+    let tables = if replicate {
+        ReplicatedSweep::from_sweep(&supervised.sweep).tables()
+    } else {
+        supervised.sweep.tables()
+    };
+    for table in tables {
+        writeln!(out, "{table}").map_err(|e| format!("writing output: {e}"))?;
+    }
     if supervised.resumed_points > 0 {
         let _ = writeln!(
             err,
@@ -635,7 +647,7 @@ fn serve_one_job(gateway: &Arc<Gateway>, job: &mut JobConn, net: &NetOpts) {
     let exec = Arc::new(RemoteExec::new(Arc::clone(gateway), tail.to_vec(), tuning));
     let mut out = Vec::new();
     let mut err = Vec::new();
-    let result = run_sweep(&args, Some(exec), &mut out, &mut err);
+    let result = run_sweep(&args, false, Some(exec), &mut out, &mut err);
     if !out.is_empty() {
         job.send_out(&String::from_utf8_lossy(&out));
     }
@@ -646,29 +658,6 @@ fn serve_one_job(gateway: &Arc<Gateway>, job: &mut JobConn, net: &NetOpts) {
         Ok(()) => job.finish(true, ""),
         Err(e) => job.finish(false, &e),
     }
-}
-
-fn cmd_replicate(args: &Args) -> Result<(), String> {
-    let store = open_store(&args.cache)?.filter(|_| store::cacheable(&args.cfg));
-    let seeds: Vec<u64> = (0..args.seeds as u64).map(|i| args.cfg.seed + i).collect();
-    let sweep = ReplicatedSweep::try_run_with_jobs_store(
-        &args.cfg,
-        &args.protocol_set,
-        &args.client_list,
-        &seeds,
-        args.jobs,
-        store.as_deref(),
-    )
-    .map_err(|f| format!("replicated sweep point failed: {f}"))?;
-    if let Some(store) = &store {
-        let stats = store.stats();
-        eprintln!("cache: {} hit(s), {} miss(es)", stats.hits, stats.misses);
-    }
-    println!("{}", sweep.fig2_cov_table());
-    println!("{}", sweep.fig3_throughput_table());
-    println!("{}", sweep.fig4_loss_table());
-    println!("{}", sweep.fig13_ratio_table());
-    Ok(())
 }
 
 fn cmd_cwnd(args: &Args) {
@@ -760,8 +749,13 @@ fn main() -> ExitCode {
     }
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),
-        "sweep" => cmd_sweep(&args),
-        "replicate" => cmd_replicate(&args),
+        "sweep" | "replicate" => run_sweep(
+            &args,
+            cmd == "replicate",
+            None,
+            &mut std::io::stdout().lock(),
+            &mut std::io::stderr().lock(),
+        ),
         "cwnd" => {
             cmd_cwnd(&args);
             Ok(())

@@ -2,7 +2,8 @@
 //!
 //! Figures 2, 3, 4 and 13 are different projections of the *same* sweep
 //! (protocol × number-of-clients), so the heavy lifting is done once by
-//! [`Sweep::run`] and each figure renders its own column:
+//! [`SweepSupervisor`](crate::SweepSupervisor) and each figure renders its
+//! own column of the [`Sweep`] it returns:
 //!
 //! | Paper item | Generator |
 //! |------------|-----------|
@@ -38,106 +39,24 @@ pub struct SweepCell {
 }
 
 /// A protocol × client-count grid of scenario runs — the shared substrate of
-/// Figures 2, 3, 4 and 13.
+/// Figures 2, 3, 4 and 13. A sweep is a view: the grid runs on
+/// [`SweepSupervisor`](crate::SweepSupervisor), whose outcome carries one.
 #[derive(Debug, Clone)]
 pub struct Sweep {
-    /// All runs, in (protocol-major, clients-minor) order.
+    /// All runs, in (protocol-major, clients, then seed) order.
     pub cells: Vec<SweepCell>,
     protocols: Vec<Protocol>,
     clients: Vec<usize>,
-}
-
-/// The canonical (protocol-major, clients-minor) flattening of the sweep
-/// grid, shared by [`Sweep`] and the sweep supervisor so journalled and
-/// freshly-run points index identically.
-pub(crate) fn canonical_grid(
-    protocols: &[Protocol],
-    clients: &[usize],
-) -> Vec<(Protocol, usize)> {
-    protocols
-        .iter()
-        .flat_map(|&p| clients.iter().map(move |&n| (p, n)))
-        .collect()
+    /// Seeds each grid point was run with; the figure tables show each
+    /// point's first completed seed.
+    pub(crate) replications: usize,
 }
 
 impl Sweep {
-    /// Runs every (protocol, clients) combination for `duration` simulated
-    /// seconds with the given master seed, fanned across all available
-    /// cores (see [`Sweep::run_with_jobs`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is empty.
-    pub fn run(
-        protocols: &[Protocol],
-        clients: &[usize],
-        duration: SimDuration,
-        seed: u64,
-    ) -> Self {
-        Sweep::run_with_jobs(protocols, clients, duration, seed, 0)
-    }
-
-    /// Like [`Sweep::run`], with an explicit worker-thread count.
-    ///
-    /// Every grid point is an independent simulation with its own derived
-    /// RNG streams, so the grid is executed by
-    /// [`run_indexed`](crate::parallel::run_indexed) and reassembled in
-    /// canonical (protocol-major, clients-minor) order: the result is
-    /// **bit-identical for every `jobs` value**. `jobs == 0` means
-    /// available parallelism; `jobs == 1` takes the exact serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is empty.
-    pub fn run_with_jobs(
-        protocols: &[Protocol],
-        clients: &[usize],
-        duration: SimDuration,
-        seed: u64,
-        jobs: usize,
-    ) -> Self {
-        let base = crate::builder::ScenarioBuilder::paper()
-            .instrumentation(|i| i.duration(duration).seed(seed))
-            .finish();
-        Sweep::run_with_jobs_from(&base, protocols, clients, jobs)
-    }
-
-    /// Like [`Sweep::run_with_jobs`], but every grid point inherits all the
-    /// non-axis knobs (duration, seed, workload, impairments, …) from
-    /// `base` — typically assembled with the staged
-    /// [`ScenarioBuilder`](crate::ScenarioBuilder). Only the protocol and
-    /// client count vary across the grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either axis is empty.
-    pub fn run_with_jobs_from(
-        base: &ScenarioConfig,
-        protocols: &[Protocol],
-        clients: &[usize],
-        jobs: usize,
-    ) -> Self {
-        assert!(!protocols.is_empty(), "need at least one protocol");
-        assert!(!clients.is_empty(), "need at least one client count");
-        let grid = canonical_grid(protocols, clients);
-        let cells = crate::parallel::run_indexed(jobs, grid.len(), |i| {
-            let (p, n) = grid[i];
-            let mut cfg = *base;
-            cfg.num_clients = n;
-            cfg.apply_protocol(p);
-            SweepCell {
-                protocol: p,
-                clients: n,
-                report: Scenario::run(&cfg),
-            }
-        });
-        Sweep::from_cells(cells, protocols.to_vec(), clients.to_vec())
-    }
-
-    /// Assembles a sweep from already-computed cells (typically from the
-    /// supervisor, where failed grid points leave holes). Cells must be in
-    /// canonical (protocol-major, clients-minor) order; missing points
-    /// render as `-` in every figure table.
+    /// Assembles a one-seed sweep from already-computed cells (typically
+    /// from the supervisor, where failed grid points leave holes). Cells
+    /// must be in canonical (protocol-major, clients-minor) order; missing
+    /// points render as `-` in every figure table.
     pub fn from_cells(
         cells: Vec<SweepCell>,
         protocols: Vec<Protocol>,
@@ -147,6 +66,7 @@ impl Sweep {
             cells,
             protocols,
             clients,
+            replications: 1,
         }
     }
 
@@ -291,6 +211,16 @@ impl Sweep {
         )
     }
 
+    /// Figures 2, 3, 4 and 13, in that order: what `tcpburst sweep` prints.
+    pub fn tables(&self) -> [String; 4] {
+        [
+            self.fig2_cov_table(),
+            self.fig3_throughput_table(),
+            self.fig4_loss_table(),
+            self.fig13_timeout_ratio_table(),
+        ]
+    }
+
     /// Figure 2 as an SVG line chart.
     pub fn fig2_cov_svg(&self) -> String {
         self.svg(
@@ -392,8 +322,9 @@ pub struct GaimdAlphaSweep {
 impl GaimdAlphaSweep {
     /// Runs one GAIMD scenario per `alpha`, all other knobs (clients,
     /// duration, seed, workload, …) inherited from `base`. Points are
-    /// fanned across `jobs` workers with the same bit-identical reassembly
-    /// as [`Sweep::run_with_jobs_from`].
+    /// fanned across `jobs` threads by
+    /// [`run_indexed`](crate::parallel::run_indexed) and reassembled in
+    /// `alphas` order, bit-identical at every `jobs` value.
     ///
     /// # Panics
     ///
@@ -707,12 +638,12 @@ mod tests {
     use super::*;
 
     fn tiny_sweep() -> Sweep {
-        Sweep::run(
-            &[Protocol::Udp, Protocol::Reno],
-            &[5, 10],
-            SimDuration::from_secs(5),
-            7,
-        )
+        let base = crate::ScenarioBuilder::paper()
+            .instrumentation(|i| i.secs(5).seed(7))
+            .finish();
+        crate::SweepSupervisor::new(&base, &[Protocol::Udp, Protocol::Reno], &[5, 10])
+            .run()
+            .sweep
     }
 
     #[test]
@@ -856,6 +787,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one protocol")]
     fn empty_protocol_axis_panics() {
-        Sweep::run(&[], &[5], SimDuration::from_secs(1), 0);
+        crate::SweepSupervisor::new(&crate::ScenarioBuilder::paper().finish(), &[], &[5]);
     }
 }

@@ -23,9 +23,12 @@
 //!   Figures 5–12 congestion-window evolution, Figure 13 timeout ratio),
 //!   each returning printable rows,
 //! * [`PaperParams`] — the reconstructed Table 1,
-//! * [`parallel`] — the deterministic multi-core fan-out engine behind
-//!   [`experiments::Sweep`] and [`ReplicatedSweep`]: any `--jobs` value
-//!   produces bit-identical reports,
+//! * [`SweepSupervisor`] — the one runner of a `protocol × clients × seed`
+//!   grid, whose outcome [`experiments::Sweep`] and [`ReplicatedSweep`]
+//!   render: any `--jobs` or `--workers` value produces bit-identical
+//!   reports,
+//! * [`parallel`] — the deterministic fan-out for plain, unsupervised
+//!   batches,
 //! * [`store`] — the content-addressed result store: a finished grid
 //!   point is persisted under a digest of its full configuration and is
 //!   never recomputed,
@@ -110,7 +113,7 @@ pub use store::{
 pub use supervise::{
     run_point, AuditReport, ExceededBudget, FailurePolicy, InvariantViolation, JournalEntry,
     PointFailure, PointOutcome, RunBudget, RunError, RunJournal, SupervisedSweep, Supervisor,
-    SweepPoint, SweepSupervisor,
+    SweepSupervisor,
 };
 pub use trace::{EventLog, TraceEvent, TraceKind};
 pub use workers::{worker_main, PointSpec, RobustnessCounters, WorkerCommand};

@@ -14,10 +14,13 @@
 //! vector is always in input order. `jobs == 1` bypasses the pool entirely
 //! and runs the exact serial code path on the calling thread.
 //!
-//! It serves the plain fan-outs: unsupervised sweeps, the GAIMD α sweep and
-//! the sweep supervisor's store lookups. Supervised grids (typed failures,
-//! budget retries, `--keep-going`/`--fail-fast`) run on the one claim pool
-//! of [`crate::workers`] instead, in-process or on worker processes alike.
+//! It serves the plain fan-outs that need no supervision: the GAIMD α sweep,
+//! the sweep supervisor's store lookups, and the golden-report and
+//! congestion-wave harnesses. Every `protocol × clients × seed` grid runs on
+//! [`SweepSupervisor`](crate::SweepSupervisor) instead, whose typed
+//! failures, budget retries and `--keep-going`/`--fail-fast` live on the
+//! one claim pool of [`crate::workers`], in-process or on worker processes
+//! alike.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -1,20 +1,20 @@
-//! Multi-seed replication: run the same scenario across independent seeds
-//! and report mean ± 95% confidence half-width for every figure metric.
+//! Multi-seed replication: mean ± 95% confidence half-width for every
+//! figure metric, folded over a sweep with a seed axis.
 //!
 //! The paper reports single runs (standard for 2000-era simulation
 //! studies); replication quantifies how much of each curve is signal. The
-//! replicated sweep powers the error bars in EXPERIMENTS.md.
+//! grid runs on [`SweepSupervisor`](crate::SweepSupervisor) with a seed
+//! axis ([`SweepSupervisor::seeds`](crate::SweepSupervisor::seeds)), and
+//! [`ReplicatedSweep::from_sweep`] folds its outcome. It powers the error
+//! bars in EXPERIMENTS.md.
 
 use std::fmt::Write as _;
 
-use tcpburst_des::SimDuration;
 use tcpburst_stats::RunningStats;
 
-use crate::config::{Protocol, ScenarioConfig};
-use crate::supervise::{
-    FailurePolicy, PointFailure, PointOutcome, RunBudget, Supervisor, SweepPoint,
-};
-use crate::workers::{self, InProcess, PointSpec};
+use crate::config::Protocol;
+use crate::experiments::Sweep;
+use crate::report::ScenarioReport;
 
 /// Aggregated metrics of one (protocol, clients) grid point across seeds.
 #[derive(Debug, Clone)]
@@ -46,184 +46,50 @@ pub struct ReplicatedSweep {
 }
 
 impl ReplicatedSweep {
-    /// Runs every (protocol, clients) pair once per seed in `seeds`, fanned
-    /// across all available cores (see [`ReplicatedSweep::run_with_jobs`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any axis or the seed list is empty.
-    pub fn run(
-        protocols: &[Protocol],
-        clients: &[usize],
-        duration: SimDuration,
-        seeds: &[u64],
-    ) -> Self {
-        ReplicatedSweep::run_with_jobs(protocols, clients, duration, seeds, 0)
-    }
-
-    /// Like [`ReplicatedSweep::run`], with an explicit worker-thread count.
-    ///
-    /// The full `(protocol, clients, seed)` grid — the sweep's unit of
-    /// independent work — is executed on the supervised grid scheduler of
-    /// [`crate::workers`], then folded into
-    /// per-cell [`RunningStats`] serially in canonical seed order, so the
-    /// floating-point accumulation (and therefore every mean and CI digit)
-    /// is **bit-identical for every `jobs` value**. `jobs == 0` means
-    /// available parallelism; `jobs == 1` computes one point at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any axis or the seed list is empty.
-    pub fn run_with_jobs(
-        protocols: &[Protocol],
-        clients: &[usize],
-        duration: SimDuration,
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Self {
-        let base = crate::builder::ScenarioBuilder::paper()
-            .instrumentation(|i| i.duration(duration))
-            .finish();
-        ReplicatedSweep::run_with_jobs_from(&base, protocols, clients, seeds, jobs)
-    }
-
-    /// Like [`ReplicatedSweep::run_with_jobs`], but every grid point
-    /// inherits the non-axis knobs (duration, workload, impairments, …)
-    /// from `base`; only protocol, client count, and seed vary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any axis or the seed list is empty.
-    pub fn run_with_jobs_from(
-        base: &ScenarioConfig,
-        protocols: &[Protocol],
-        clients: &[usize],
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Self {
-        match Self::try_run_with_jobs_from(base, protocols, clients, seeds, jobs) {
-            Ok(sweep) => sweep,
-            Err(failure) => panic!("replicated sweep point failed: {failure}"),
-        }
-    }
-
-    /// Like [`ReplicatedSweep::run_with_jobs_from`], but every grid point
-    /// runs under the sweep supervisor: a panicking or audit-failing point
-    /// surfaces as a typed [`PointFailure`] instead of unwinding the pool
-    /// and discarding the other runs' work. The confidence-interval fold
-    /// needs every sample, so the first failure (in canonical grid order)
-    /// fails the whole replication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any axis or the seed list is empty.
-    pub fn try_run_with_jobs_from(
-        base: &ScenarioConfig,
-        protocols: &[Protocol],
-        clients: &[usize],
-        seeds: &[u64],
-        jobs: usize,
-    ) -> Result<Self, PointFailure> {
-        Self::try_run_with_jobs_store(base, protocols, clients, seeds, jobs, None)
-    }
-
-    /// Like [`ReplicatedSweep::try_run_with_jobs_from`], resolving every
-    /// `(protocol, clients, seed)` run against a content-addressed result
-    /// store first: replicate shares its grid points with plain sweeps, so
-    /// a warm store makes the whole replication a sequence of cache loads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any axis or the seed list is empty.
-    pub fn try_run_with_jobs_store(
-        base: &ScenarioConfig,
-        protocols: &[Protocol],
-        clients: &[usize],
-        seeds: &[u64],
-        jobs: usize,
-        store: Option<&crate::store::ResultStore>,
-    ) -> Result<Self, PointFailure> {
-        assert!(!protocols.is_empty(), "need at least one protocol");
-        assert!(!clients.is_empty(), "need at least one client count");
-        assert!(!seeds.is_empty(), "need at least one seed");
-
-        let grid: Vec<PointSpec> = protocols
-            .iter()
-            .flat_map(|&protocol| {
-                clients.iter().flat_map(move |&clients| {
-                    seeds.iter().map(move |&seed| PointSpec {
-                        protocol,
-                        clients,
-                        seed,
-                    })
-                })
-            })
-            .collect();
-        let supervisor = Supervisor {
-            jobs,
-            policy: FailurePolicy::KeepGoing,
-            budget: RunBudget::UNLIMITED,
-            retries: 0,
-        };
-        let run = |i: usize, budget: &RunBudget| {
-            let mut cfg = *base;
-            cfg.num_clients = grid[i].clients;
-            cfg.apply_protocol(grid[i].protocol);
-            cfg.seed = grid[i].seed;
-            crate::store::run_point_cached(&cfg, budget, store)
-        };
-        let (outcomes, _) =
-            workers::run_points(&InProcess, &supervisor, "", &grid, run, |_, _| Ok(()));
-        let mut reports = Vec::with_capacity(outcomes.len());
-        for (outcome, point) in outcomes.into_iter().zip(&grid) {
-            match outcome {
-                PointOutcome::Done(report) => reports.push(report),
-                PointOutcome::Failed(error) => {
-                    let point = SweepPoint {
-                        protocol: point.protocol,
-                        clients: point.clients,
-                        seed: point.seed,
-                    };
-                    return Err(PointFailure { point, error });
-                }
-                PointOutcome::Skipped => unreachable!("keep-going never skips"),
-            }
-        }
-
-        let mut cells = Vec::with_capacity(protocols.len() * clients.len());
-        let mut reports = reports.iter();
-        for &p in protocols {
-            for &n in clients {
-                let mut cov = RunningStats::new();
-                let mut delivered = RunningStats::new();
-                let mut loss = RunningStats::new();
-                let mut ratio = RunningStats::new();
-                let mut poisson = 0.0;
-                for _ in seeds {
-                    let r = reports.next().expect("one report per grid point");
-                    cov.push(r.cov);
-                    delivered.push(r.delivered_packets as f64);
-                    loss.push(r.loss_percent);
-                    ratio.push(r.timeout_dupack_ratio());
-                    poisson = r.poisson_cov;
-                }
+    /// Folds a sweep run with a seed axis into one cell per
+    /// (protocol, clients) point. Each point's reports are pushed into
+    /// [`RunningStats`] in canonical seed order, the order the sweep's
+    /// cells hold them in at any job or worker count, so every mean and CI
+    /// digit is bit-identical however the grid ran. A point missing any
+    /// seed (a failed or skipped run) gets no cell and renders as `-`.
+    pub fn from_sweep(sweep: &Sweep) -> Self {
+        let replications = sweep.replications;
+        let mut cells = Vec::new();
+        let mut rest = sweep.cells.as_slice();
+        for &protocol in sweep.protocols() {
+            for &clients in sweep.client_counts() {
+                let n = rest
+                    .iter()
+                    .take(replications)
+                    .take_while(|c| c.protocol == protocol && c.clients == clients)
+                    .count();
+                let (runs, tail) = rest.split_at(n);
+                rest = tail;
+                let Some(last) = runs.last().filter(|_| n == replications) else {
+                    continue;
+                };
+                let stats = |metric: fn(&ScenarioReport) -> f64| {
+                    let mut stats = RunningStats::new();
+                    runs.iter().for_each(|c| stats.push(metric(&c.report)));
+                    stats
+                };
                 cells.push(ReplicatedCell {
-                    protocol: p,
-                    clients: n,
-                    cov,
-                    poisson_cov: poisson,
-                    delivered,
-                    loss_percent: loss,
-                    timeout_ratio: ratio,
+                    protocol,
+                    clients,
+                    cov: stats(|r| r.cov),
+                    poisson_cov: last.report.poisson_cov,
+                    delivered: stats(|r| r.delivered_packets as f64),
+                    loss_percent: stats(|r| r.loss_percent),
+                    timeout_ratio: stats(ScenarioReport::timeout_dupack_ratio),
                 });
             }
         }
-        Ok(ReplicatedSweep {
+        ReplicatedSweep {
             cells,
-            protocols: protocols.to_vec(),
-            clients: clients.to_vec(),
-            replications: seeds.len(),
-        })
+            protocols: sweep.protocols().to_vec(),
+            clients: sweep.client_counts().to_vec(),
+            replications,
+        }
     }
 
     /// Number of seeds each point was run with.
@@ -309,19 +175,36 @@ impl ReplicatedSweep {
             |c| &c.timeout_ratio,
         )
     }
+
+    /// Figures 2, 3, 4 and 13 with error bars, in that order: what
+    /// `tcpburst replicate` prints.
+    pub fn tables(&self) -> [String; 4] {
+        [
+            self.fig2_cov_table(),
+            self.fig3_throughput_table(),
+            self.fig4_loss_table(),
+            self.fig13_ratio_table(),
+        ]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ScenarioBuilder, SweepSupervisor};
+
+    fn tiny_sweep() -> Sweep {
+        let base = ScenarioBuilder::paper()
+            .instrumentation(|i| i.secs(3))
+            .finish();
+        SweepSupervisor::new(&base, &[Protocol::Udp, Protocol::Reno], &[5])
+            .seeds(&[1, 2, 3])
+            .run()
+            .sweep
+    }
 
     fn tiny() -> ReplicatedSweep {
-        ReplicatedSweep::run(
-            &[Protocol::Udp, Protocol::Reno],
-            &[5],
-            SimDuration::from_secs(3),
-            &[1, 2, 3],
-        )
+        ReplicatedSweep::from_sweep(&tiny_sweep())
     }
 
     #[test]
@@ -355,8 +238,22 @@ mod tests {
     }
 
     #[test]
+    fn a_point_missing_a_seed_renders_a_dash() {
+        let mut sweep = tiny_sweep();
+        // UDP's second seed failed: its cell goes, Reno's stays whole.
+        sweep.cells.remove(1);
+        let s = ReplicatedSweep::from_sweep(&sweep);
+        assert!(s.cell(Protocol::Udp, 5).is_none());
+        assert_eq!(s.cell(Protocol::Reno, 5).map(|c| c.cov.count()), Some(3));
+        let row = s.fig2_cov_table().lines().nth(2).map(str::to_string);
+        let row = row.expect("one data row");
+        assert_eq!(row.split_whitespace().nth(1), Some("-"), "{row}");
+    }
+
+    #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seed_list_panics() {
-        ReplicatedSweep::run(&[Protocol::Udp], &[2], SimDuration::from_secs(1), &[]);
+        let base = ScenarioBuilder::paper().finish();
+        let _ = SweepSupervisor::new(&base, &[Protocol::Udp], &[2]).seeds(&[]);
     }
 }

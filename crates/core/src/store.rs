@@ -238,17 +238,20 @@ pub fn point_digest(cfg: &ScenarioConfig) -> Digest {
     Digest::of(format!("tcpburst-point-v{ENGINE_SCHEMA_VERSION}|{cfg:?}").as_bytes())
 }
 
-/// The digest identifying a whole sweep (base configuration plus both grid
-/// axes) — the v2 journal header key. A journal written under one digest
-/// refuses to resume under another.
+/// The digest identifying a whole sweep (base configuration plus its
+/// protocol, client and seed axes) — the journal header key. A journal
+/// written under one digest refuses to resume under another.
 pub fn sweep_digest(
     base: &ScenarioConfig,
     protocols: &[crate::config::Protocol],
     clients: &[usize],
+    seeds: &[u64],
 ) -> Digest {
     Digest::of(
-        format!("tcpburst-sweep-v{ENGINE_SCHEMA_VERSION}|{base:?}|{protocols:?}|{clients:?}")
-            .as_bytes(),
+        format!(
+            "tcpburst-sweep-v{ENGINE_SCHEMA_VERSION}|{base:?}|{protocols:?}|{clients:?}|{seeds:?}"
+        )
+        .as_bytes(),
     )
 }
 

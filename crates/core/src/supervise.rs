@@ -40,11 +40,16 @@
 //! resumed sweep leaves the byte-identical journal an uninterrupted run
 //! would have.
 //!
-//! Fresh points run on the one claim pool of [`crate::workers`]: on
-//! [`Supervisor::jobs`] threads of the sweep's own process by default, or
-//! on a crash-isolated worker fleet, local or remote, when one is
-//! attached. A content-addressed [result store](crate::store), when
-//! attached, first resolves already-computed points without simulating.
+//! [`SweepSupervisor`] is the one runner of a `protocol × clients × seed`
+//! grid. Its seed axis defaults to the base configuration's one seed (the
+//! figure sweeps); `tcpburst replicate` sets `seed .. seed + R`, and
+//! [`ReplicatedSweep`](crate::ReplicatedSweep) folds the outcome into
+//! mean ± CI cells. Fresh points run on the one claim pool of
+//! [`crate::workers`]: on [`Supervisor::jobs`] threads of the sweep's own
+//! process by default, or on a crash-isolated worker fleet, local or
+//! remote, when one is attached. A content-addressed
+//! [result store](crate::store), when attached, first resolves
+//! already-computed points without simulating.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -675,34 +680,29 @@ impl RunJournal {
 // Supervised sweeps
 // ---------------------------------------------------------------------------
 
-/// One grid point's coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepPoint {
-    /// Protocol of the point.
-    pub protocol: Protocol,
-    /// Client count of the point.
-    pub clients: usize,
-    /// Seed of the point.
-    pub seed: u64,
-}
-
-impl fmt::Display for SweepPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} x {} clients (seed {})",
-            self.protocol.label(),
-            self.clients,
-            self.seed
-        )
-    }
+/// The canonical (protocol-major, then clients, then seed) flattening of a
+/// grid: the order of a sweep's cells, its journal lines and the
+/// replicated fold.
+fn canonical_grid(protocols: &[Protocol], clients: &[usize], seeds: &[u64]) -> Vec<PointSpec> {
+    protocols
+        .iter()
+        .flat_map(|&protocol| {
+            clients.iter().flat_map(move |&clients| {
+                seeds.iter().map(move |&seed| PointSpec {
+                    protocol,
+                    clients,
+                    seed,
+                })
+            })
+        })
+        .collect()
 }
 
 /// A failed grid point and why it failed.
 #[derive(Debug)]
 pub struct PointFailure {
     /// The point's coordinates.
-    pub point: SweepPoint,
+    pub point: PointSpec,
     /// The typed failure.
     pub error: RunError,
 }
@@ -722,7 +722,7 @@ pub struct SupervisedSweep {
     /// Every failed point, in canonical grid order.
     pub failures: Vec<PointFailure>,
     /// Points skipped by a fail-fast abort.
-    pub skipped: Vec<SweepPoint>,
+    pub skipped: Vec<PointSpec>,
     /// How many points were restored from a resumed journal.
     pub resumed_points: usize,
     /// How many points actually ran (freshly) to completion.
@@ -750,14 +750,15 @@ impl SupervisedSweep {
     }
 }
 
-/// Orchestrates a protocol × clients sweep under a [`Supervisor`], with
-/// optional journalling/resumption, an optional content-addressed result
-/// store, and optional worker-process execution.
+/// Orchestrates a protocol × clients × seed sweep under a [`Supervisor`],
+/// with optional journalling/resumption, an optional content-addressed
+/// result store, and optional worker-process execution.
 #[derive(Debug, Clone)]
 pub struct SweepSupervisor {
     base: ScenarioConfig,
     protocols: Vec<Protocol>,
     clients: Vec<usize>,
+    seeds: Vec<u64>,
     /// The supervision knobs (jobs, policy, budget, retries).
     pub supervisor: Supervisor,
     workers: usize,
@@ -768,7 +769,8 @@ pub struct SweepSupervisor {
 
 impl SweepSupervisor {
     /// A supervisor for the given grid; every non-axis knob (duration,
-    /// seed, workload, impairments, audit, …) comes from `base`.
+    /// workload, impairments, audit, …) comes from `base`, and so does the
+    /// one seed of the default seed axis.
     ///
     /// # Panics
     ///
@@ -780,12 +782,25 @@ impl SweepSupervisor {
             base: *base,
             protocols: protocols.to_vec(),
             clients: clients.to_vec(),
+            seeds: vec![base.seed],
             supervisor: Supervisor::default(),
             workers: 1,
             worker_command: None,
             store: None,
             remote: None,
         }
+    }
+
+    /// Sets the seed axis: every (protocol, clients) point runs once per
+    /// seed, in the order given. The default is the base seed alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` is empty.
+    pub fn seeds(mut self, seeds: &[u64]) -> Self {
+        assert!(!seeds.is_empty(), "need at least one seed");
+        self.seeds = seeds.to_vec();
+        self
     }
 
     /// Sets the worker-thread count (0 = all cores).
@@ -852,7 +867,7 @@ impl SweepSupervisor {
     /// The sweep's content digest — the identity journals are written
     /// under.
     pub fn digest(&self) -> Digest {
-        store::sweep_digest(&self.base, &self.protocols, &self.clients)
+        store::sweep_digest(&self.base, &self.protocols, &self.clients, &self.seeds)
     }
 
     /// Runs the whole grid with no journal.
@@ -884,8 +899,7 @@ impl SweepSupervisor {
         journal: Option<&RunJournal>,
         mut done: HashMap<String, ScenarioReport>,
     ) -> SupervisedSweep {
-        let grid = crate::experiments::canonical_grid(&self.protocols, &self.clients);
-        let seed = self.base.seed;
+        let grid = canonical_grid(&self.protocols, &self.clients, &self.seeds);
 
         // Reports cross the store, worker frames and the journal as codec
         // payloads, which cannot carry traces: a tracing sweep uses none of
@@ -893,8 +907,8 @@ impl SweepSupervisor {
         let encodable = store::cacheable(&self.base);
         let store = self.store.as_deref().filter(|_| encodable);
         let journal = journal.filter(|_| encodable);
-        let entry = |key: &String, (p, n): (Protocol, usize), report: &ScenarioReport| {
-            JournalEntry::from_report(key.clone(), p, n, seed, report)
+        let entry = |key: &String, p: &PointSpec, report: &ScenarioReport| {
+            JournalEntry::from_report(key.clone(), p.protocol, p.clients, p.seed, report)
         };
 
         // Phase 1, on the job threads: each point's config and digest, and
@@ -907,10 +921,11 @@ impl SweepSupervisor {
             1
         };
         let resolved = crate::parallel::run_indexed(jobs, grid.len(), |i| {
-            let (p, n) = grid[i];
+            let point = grid[i];
             let mut cfg = self.base;
-            cfg.num_clients = n;
-            cfg.apply_protocol(p);
+            cfg.num_clients = point.clients;
+            cfg.apply_protocol(point.protocol);
+            cfg.seed = point.seed;
             let digest = store::point_digest(&cfg);
             let key = digest.hex();
             let stored = store
@@ -949,7 +964,7 @@ impl SweepSupervisor {
             // A cache hit still earns its journal line, so a later resume
             // needs neither the store nor a re-run.
             if let Some(journal) = journal {
-                if let Err(e) = journal.append(&entry(&keys[i], grid[i], &report)) {
+                if let Err(e) = journal.append(&entry(&keys[i], &grid[i], &report)) {
                     fail_map.insert(i, e);
                     continue;
                 }
@@ -970,7 +985,7 @@ impl SweepSupervisor {
                 let _ = store.put(&digests[i], report);
             }
             if let Some(journal) = journal {
-                journal.append(&entry(&keys[i], grid[i], report))?;
+                journal.append(&entry(&keys[i], &grid[i], report))?;
             }
             Ok(())
         };
@@ -988,14 +1003,7 @@ impl SweepSupervisor {
             None => local.as_ref().map(|local| local as &dyn Fleet),
         }
         .filter(|_| encodable && !pending.is_empty());
-        let specs: Vec<PointSpec> = pending
-            .iter()
-            .map(|&i| PointSpec {
-                protocol: grid[i].0,
-                clients: grid[i].1,
-                seed,
-            })
-            .collect();
+        let specs: Vec<PointSpec> = pending.iter().map(|&i| grid[i]).collect();
         let (outcomes, counters) = workers::run_points(
             fleet.unwrap_or(&InProcess),
             &self.supervisor,
@@ -1026,20 +1034,15 @@ impl SweepSupervisor {
         let mut cells = Vec::new();
         let mut failures = Vec::new();
         let mut skipped = Vec::new();
-        for (i, &(protocol, clients)) in grid.iter().enumerate() {
-            let point = SweepPoint {
-                protocol,
-                clients,
-                seed,
-            };
+        for (i, &point) in grid.iter().enumerate() {
             if let Some(error) = fail_map.remove(&i) {
                 failures.push(PointFailure { point, error });
             } else if skip_set[i] {
                 skipped.push(point);
             } else if let Some(report) = slots[i].take() {
                 cells.push(SweepCell {
-                    protocol,
-                    clients,
+                    protocol: point.protocol,
+                    clients: point.clients,
                     report,
                 });
             }
@@ -1049,14 +1052,17 @@ impl SweepSupervisor {
         // an uninterrupted run's.
         let mut journal_error = None;
         if let (Some(journal), true) = (journal, failures.is_empty() && skipped.is_empty()) {
-            let lines = cells.iter().zip(&keys).filter_map(|(cell, key)| {
-                entry(key, (cell.protocol, cell.clients), &cell.report).to_line()
-            });
+            let lines = cells
+                .iter()
+                .zip(grid.iter().zip(&keys))
+                .filter_map(|(cell, (point, key))| entry(key, point, &cell.report).to_line());
             journal_error = journal.rewrite(lines).err();
         }
 
+        let mut sweep = Sweep::from_cells(cells, self.protocols.clone(), self.clients.clone());
+        sweep.replications = self.seeds.len();
         SupervisedSweep {
-            sweep: Sweep::from_cells(cells, self.protocols.clone(), self.clients.clone()),
+            sweep,
             failures,
             skipped,
             resumed_points,

@@ -452,6 +452,18 @@ pub struct PointSpec {
     pub seed: u64,
 }
 
+impl std::fmt::Display for PointSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} x {} clients (seed {})",
+            self.protocol.label(),
+            self.clients,
+            self.seed
+        )
+    }
+}
+
 /// One worker connection the scheduler can drive from its own thread.
 pub(crate) struct Worker {
     pub(crate) link: Box<dyn FrameTransport + Send>,
@@ -597,7 +609,8 @@ impl Fleet for LocalFleet {
 /// runs when no worker is available and for a point whose workers keep
 /// dying. `on_done` runs the moment a point completes (this is where the
 /// supervisor appends the journal line and writes the result store); an
-/// `Err` from it demotes the point to [`PointOutcome::Failed`].
+/// `Err` from it, or a panic in it, demotes the point to
+/// [`PointOutcome::Failed`].
 pub(crate) fn run_points<F, G>(
     fleet: &dyn Fleet,
     sup: &Supervisor,
@@ -829,17 +842,24 @@ impl RunCtx<'_> {
     }
 
     /// Resolves a point exactly once; a late duplicate is discarded, which
-    /// is what keeps the journal free of duplicate appends.
+    /// is what keeps the journal free of duplicate appends. A panic in
+    /// `on_done` fails the point: unguarded, it would leave the slot unset
+    /// and the sweep waiting for it forever.
     fn resolve(&self, j: usize, outcome: PointOutcome<ScenarioReport>) {
         let mut first = false;
         self.slots[j].get_or_init(|| {
             first = true;
-            match outcome {
-                PointOutcome::Done(report) => match (self.on_done)(j, &report) {
-                    Ok(()) => PointOutcome::Done(report),
-                    Err(e) => PointOutcome::Failed(e),
-                },
-                other => other,
+            let PointOutcome::Done(report) = outcome else {
+                return outcome;
+            };
+            let done = catch_unwind(AssertUnwindSafe(|| (self.on_done)(j, &report)));
+            match done.unwrap_or_else(|payload| {
+                Err(RunError::Panicked {
+                    message: panic_message(payload.as_ref()),
+                })
+            }) {
+                Ok(()) => PointOutcome::Done(report),
+                Err(e) => PointOutcome::Failed(e),
             }
         });
         if !first {
@@ -1271,8 +1291,10 @@ mod tests {
 
     #[test]
     fn keep_going_isolates_a_panicking_point() {
-        // On its own thread, bounded: a panic that escaped its helper would
-        // leave point 5 unresolved and the run waiting forever.
+        // On its own thread, bounded: a panic that escaped its helper, in
+        // the simulation (point 5) or in `on_done` (point 2, the store and
+        // journal writes), would leave its point unresolved and the run
+        // waiting forever.
         let (tx, rx) = channel();
         std::thread::spawn(move || {
             let calls: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
@@ -1294,7 +1316,13 @@ mod tests {
                 seed: 1,
             };
             let specs = [spec; 8];
-            let (outcomes, _) = run_points(&InProcess, &sup, "", &specs, fallback, |_, _| Ok(()));
+            let on_done = |j: usize, _: &ScenarioReport| {
+                if j == 2 {
+                    panic!("deliberate store failure");
+                }
+                Ok(())
+            };
+            let (outcomes, _) = run_points(&InProcess, &sup, "", &specs, fallback, on_done);
             let calls: Vec<u32> = calls.into_iter().map(AtomicU32::into_inner).collect();
             let _ = tx.send((outcomes, calls));
         });
@@ -1307,12 +1335,19 @@ mod tests {
                 PointOutcome::Failed(RunError::Panicked { message }) if j == 5 => {
                     assert_eq!(message, "deliberate point failure");
                 }
+                PointOutcome::Failed(RunError::Panicked { message }) if j == 2 => {
+                    assert_eq!(message, "deliberate store failure");
+                }
                 other => panic!("unexpected outcome at {j}: {other:?}"),
             }
         }
         assert!(
             matches!(outcomes[5], PointOutcome::Failed(_)),
             "point 5 fails"
+        );
+        assert!(
+            matches!(outcomes[2], PointOutcome::Failed(_)),
+            "point 2 fails"
         );
         assert_eq!(
             calls,

@@ -102,13 +102,7 @@ pub fn wait_bounded(mut child: Child, secs: u64) -> Output {
 
 /// The four figure tables of a supervised sweep.
 pub fn figure_tables(s: &SupervisedSweep) -> String {
-    format!(
-        "{}{}{}{}",
-        s.sweep.fig2_cov_table(),
-        s.sweep.fig3_throughput_table(),
-        s.sweep.fig4_loss_table(),
-        s.sweep.fig13_timeout_ratio_table()
-    )
+    s.sweep.tables().concat()
 }
 
 /// A report's codec payload with the host wall clock zeroed: the one field

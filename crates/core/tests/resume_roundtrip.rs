@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tcpburst_core::{
-    Protocol, ResultStore, ScenarioBuilder, SupervisedSweep, SweepSupervisor, WorkerCommand,
+    Digest, Protocol, ResultStore, ScenarioBuilder, SupervisedSweep, SweepSupervisor,
+    WorkerCommand, ENGINE_SCHEMA_VERSION,
 };
 
 mod common;
@@ -121,17 +122,35 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
     let clients = [3usize];
     let path = temp_path("resume");
 
-    SweepSupervisor::new(&cfg_a, &protocols, &clients)
-        .jobs(1)
+    let sweep_a = SweepSupervisor::new(&cfg_a, &protocols, &clients).jobs(1);
+    sweep_a
         .run_with_journal(&path)
         .expect("temp journal is writable");
-    // Any knob difference (here the seed) changes the sweep key, so the
-    // journal must not silently poison the other sweep's results.
-    let err = SweepSupervisor::new(&cfg_b, &protocols, &clients)
-        .jobs(1)
+    // Any knob difference (here the seed, or the seed axis) changes the
+    // sweep key, so the journal must not silently poison the other sweep's
+    // results.
+    let sweep_b = SweepSupervisor::new(&cfg_b, &protocols, &clients).jobs(1);
+    for other in [sweep_b, sweep_a.clone().seeds(&[7, 8])] {
+        let err = other
+            .resume_from(&path)
+            .expect_err("mismatched sweep key is rejected");
+        assert_eq!(err.kind(), "io");
+    }
+    // Earlier builds keyed a journal by a digest without the seed axis;
+    // such a header names another sweep and is refused, untouched.
+    let seedless = Digest::of(
+        format!("tcpburst-sweep-v{ENGINE_SCHEMA_VERSION}|{cfg_a:?}|{protocols:?}|{clients:?}")
+            .as_bytes(),
+    );
+    let raw = fs::read_to_string(&path).expect("journal exists");
+    let old = raw.replace(&sweep_a.digest().hex(), &seedless.hex());
+    assert_ne!(old, raw, "the header carries the sweep digest");
+    fs::write(&path, &old).unwrap();
+    let err = sweep_a
         .resume_from(&path)
-        .expect_err("mismatched sweep key is rejected");
-    assert_eq!(err.kind(), "io");
+        .expect_err("a seedless journal is rejected");
+    assert!(err.to_string().contains("different sweep"), "{err}");
+    assert_eq!(fs::read_to_string(&path).unwrap(), old, "left untouched");
     let _ = fs::remove_file(&path);
 }
 

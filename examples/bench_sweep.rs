@@ -49,8 +49,10 @@ fn base_cfg() -> ScenarioConfig {
 /// One timed in-process sweep over the Figure 2 grid.
 fn timed_sweep(base: &ScenarioConfig, jobs: usize) -> (Sweep, f64) {
     let start = Instant::now();
-    let sweep = Sweep::run_with_jobs_from(base, &Protocol::PAPER_SET, &CLIENTS, jobs);
-    (sweep, start.elapsed().as_secs_f64())
+    let swept = SweepSupervisor::new(base, &Protocol::PAPER_SET, &CLIENTS)
+        .jobs(jobs)
+        .run();
+    (swept.sweep, start.elapsed().as_secs_f64())
 }
 
 /// Distinct counts to benchmark: {1, 2, 4, all cores} ∩ [1, all cores].

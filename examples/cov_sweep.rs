@@ -11,9 +11,7 @@
 
 use std::env;
 
-use tcpburst_core::experiments::Sweep;
-use tcpburst_core::Protocol;
-use tcpburst_des::SimDuration;
+use tcpburst_core::{Protocol, ScenarioBuilder, SweepSupervisor};
 
 fn main() {
     let seconds: u64 = env::args()
@@ -28,15 +26,13 @@ fn main() {
         clients,
         seconds
     );
-    let sweep = Sweep::run(
-        &Protocol::PAPER_SET,
-        &clients,
-        SimDuration::from_secs(seconds),
-        42,
-    );
-
-    println!("{}", sweep.fig2_cov_table());
-    println!("{}", sweep.fig3_throughput_table());
-    println!("{}", sweep.fig4_loss_table());
-    println!("{}", sweep.fig13_timeout_ratio_table());
+    let base = ScenarioBuilder::paper()
+        .instrumentation(|i| i.secs(seconds).seed(42))
+        .finish();
+    let sweep = SweepSupervisor::new(&base, &Protocol::PAPER_SET, &clients)
+        .run()
+        .sweep;
+    for table in sweep.tables() {
+        println!("{table}");
+    }
 }

@@ -100,6 +100,16 @@ echo "==> worker processes: --workers 2 must equal --workers 1 bit-for-bit"
 diff "$TMP/inproc.txt" "$TMP/forked.txt"
 echo "worker-process sweep output is byte-identical to the in-process run"
 
+echo "==> replicate: --workers 2 must equal --workers 1 bit-for-bit"
+# replicate is the same supervised sweep with a seed axis: each point's
+# seed crosses the pipe, and the mean +/- CI tables may not move a byte.
+./target/release/tcpburst replicate --clients 5,15 --secs 3 --seeds 3 \
+    --no-cache --workers 1 > "$TMP/rep_inproc.txt"
+./target/release/tcpburst replicate --clients 5,15 --secs 3 --seeds 3 \
+    --no-cache --workers 2 > "$TMP/rep_forked.txt"
+diff "$TMP/rep_inproc.txt" "$TMP/rep_forked.txt"
+echo "worker-process replicate output is byte-identical to the in-process run"
+
 echo "==> chaos: a worker killed by the fault hook must not move a byte"
 # Deterministic fault injection: the first pipe worker aborts at its 3rd
 # wire frame; the pool requeues its in-flight point, respawns, and the

@@ -17,8 +17,7 @@
 //! A second test asserts the tables are invariant across `--jobs` 1 vs 4,
 //! so the golden file pins both execution modes at once.
 
-use tcpburst_core::experiments::Sweep;
-use tcpburst_core::{Protocol, ScenarioBuilder};
+use tcpburst_core::{Protocol, ScenarioBuilder, SweepSupervisor};
 
 /// All five TCP variants, in canonical order.
 const VARIANTS: [Protocol; 5] = [
@@ -48,14 +47,11 @@ fn figure_tables(protocols: &[Protocol], jobs: usize) -> String {
     let base = ScenarioBuilder::paper()
         .instrumentation(|i| i.secs(SECS))
         .finish();
-    let sweep = Sweep::run_with_jobs_from(&base, protocols, &CLIENTS, jobs);
-    format!(
-        "{}{}{}{}",
-        sweep.fig2_cov_table(),
-        sweep.fig3_throughput_table(),
-        sweep.fig4_loss_table(),
-        sweep.fig13_timeout_ratio_table(),
-    )
+    let sweep = SweepSupervisor::new(&base, protocols, &CLIENTS)
+        .jobs(jobs)
+        .run()
+        .sweep;
+    sweep.tables().concat()
 }
 
 #[test]

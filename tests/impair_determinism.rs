@@ -7,8 +7,7 @@
 //! summarize: a downed link delivers nothing while it is dark.
 
 use proptest::prelude::*;
-use tcpburst_core::experiments::Sweep;
-use tcpburst_core::{Protocol, ScenarioBuilder, ScenarioConfig};
+use tcpburst_core::{Protocol, ScenarioBuilder, ScenarioConfig, SweepSupervisor};
 use tcpburst_des::{Scheduler, SimDuration, SimTime};
 use tcpburst_net::{
     Delivered, DropTailQueue, Ecn, FlowId, NetEvent, Network, Packet, PacketKind,
@@ -29,14 +28,20 @@ fn impaired_sweep_is_bit_identical_across_thread_counts() {
     let base = impaired_base(5, 7);
     let protocols = [Protocol::Reno, Protocol::Vegas];
     let clients = [5, 10];
-    let serial = Sweep::run_with_jobs_from(&base, &protocols, &clients, 1);
+    let sweep = |jobs| {
+        SweepSupervisor::new(&base, &protocols, &clients)
+            .jobs(jobs)
+            .run()
+            .sweep
+    };
+    let serial = sweep(1);
     // The schedule must actually fire, or this test proves nothing.
     assert!(serial
         .cells
         .iter()
         .all(|c| c.report.impairments.link_down_events > 0));
     for jobs in [4, 0] {
-        let parallel = Sweep::run_with_jobs_from(&base, &protocols, &clients, jobs);
+        let parallel = sweep(jobs);
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.protocol, b.protocol, "jobs={jobs}: cell order changed");
             assert_eq!(a.clients, b.clients, "jobs={jobs}: cell order changed");

@@ -4,18 +4,32 @@
 //! published figure values between machines with different core counts.
 
 use tcpburst_core::experiments::Sweep;
-use tcpburst_core::{Protocol, ReplicatedSweep};
-use tcpburst_des::SimDuration;
+use tcpburst_core::{Protocol, ReplicatedSweep, ScenarioBuilder, SweepSupervisor};
 
 const PROTOCOLS: [Protocol; 3] = [Protocol::Udp, Protocol::Reno, Protocol::VegasRed];
 const CLIENTS: [usize; 2] = [5, 12];
 
+/// The paper grid over `protocols × clients × seeds`, `secs` simulated
+/// seconds a point, on `jobs` threads.
+fn sweep(
+    protocols: &[Protocol],
+    clients: &[usize],
+    secs: u64,
+    seeds: &[u64],
+    jobs: usize,
+) -> Sweep {
+    let base = ScenarioBuilder::paper()
+        .instrumentation(|i| i.secs(secs))
+        .finish();
+    let supervisor = SweepSupervisor::new(&base, protocols, clients).seeds(seeds);
+    supervisor.jobs(jobs).run().sweep
+}
+
 #[test]
 fn sweep_is_bit_identical_across_thread_counts() {
-    let duration = SimDuration::from_secs(5);
-    let serial = Sweep::run_with_jobs(&PROTOCOLS, &CLIENTS, duration, 7, 1);
+    let serial = sweep(&PROTOCOLS, &CLIENTS, 5, &[7], 1);
     for jobs in [2, 4, 7] {
-        let parallel = Sweep::run_with_jobs(&PROTOCOLS, &CLIENTS, duration, 7, jobs);
+        let parallel = sweep(&PROTOCOLS, &CLIENTS, 5, &[7], jobs);
         assert_eq!(serial.cells.len(), parallel.cells.len());
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.protocol, b.protocol, "jobs={jobs}: cell order changed");
@@ -38,29 +52,20 @@ fn sweep_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn sweep_default_jobs_matches_serial_tables() {
-    let duration = SimDuration::from_secs(5);
-    // Sweep::run uses jobs = 0 (all cores); whatever this host has, the
-    // rendered figure tables must be byte-identical to the serial run.
-    let auto = Sweep::run(&PROTOCOLS, &CLIENTS, duration, 7);
-    let serial = Sweep::run_with_jobs(&PROTOCOLS, &CLIENTS, duration, 7, 1);
-    assert_eq!(auto.fig2_cov_table(), serial.fig2_cov_table());
-    assert_eq!(auto.fig3_throughput_table(), serial.fig3_throughput_table());
-    assert_eq!(auto.fig4_loss_table(), serial.fig4_loss_table());
-    assert_eq!(
-        auto.fig13_timeout_ratio_table(),
-        serial.fig13_timeout_ratio_table()
-    );
+    // jobs = 0 means all cores; whatever this host has, the rendered
+    // figure tables must be byte-identical to the serial run.
+    let auto = sweep(&PROTOCOLS, &CLIENTS, 5, &[7], 0);
+    let serial = sweep(&PROTOCOLS, &CLIENTS, 5, &[7], 1);
+    assert_eq!(auto.tables(), serial.tables());
 }
 
 #[test]
 fn replicated_sweep_is_bit_identical_across_thread_counts() {
-    let duration = SimDuration::from_secs(3);
-    let seeds = [1, 2, 3];
-    let serial =
-        ReplicatedSweep::run_with_jobs(&PROTOCOLS, &CLIENTS, duration, &seeds, 1);
+    let replicated =
+        |jobs| ReplicatedSweep::from_sweep(&sweep(&PROTOCOLS, &CLIENTS, 3, &[1, 2, 3], jobs));
+    let serial = replicated(1);
     for jobs in [2, 4] {
-        let parallel =
-            ReplicatedSweep::run_with_jobs(&PROTOCOLS, &CLIENTS, duration, &seeds, jobs);
+        let parallel = replicated(jobs);
         for (a, b) in serial.cells.iter().zip(&parallel.cells) {
             assert_eq!(a.protocol, b.protocol);
             assert_eq!(a.clients, b.clients);
@@ -82,8 +87,7 @@ fn replicated_sweep_is_bit_identical_across_thread_counts() {
                 b.timeout_ratio.mean().to_bits()
             );
         }
-        assert_eq!(serial.fig2_cov_table(), parallel.fig2_cov_table());
-        assert_eq!(serial.fig13_ratio_table(), parallel.fig13_ratio_table());
+        assert_eq!(serial.tables(), parallel.tables());
     }
 }
 
@@ -91,9 +95,8 @@ fn replicated_sweep_is_bit_identical_across_thread_counts() {
 fn oversubscribed_jobs_clamp_and_still_agree() {
     // More workers than grid points: the engine clamps instead of spawning
     // idle threads, and the answer still matches serial.
-    let duration = SimDuration::from_secs(2);
-    let serial = Sweep::run_with_jobs(&[Protocol::Reno], &[5], duration, 3, 1);
-    let wide = Sweep::run_with_jobs(&[Protocol::Reno], &[5], duration, 3, 64);
+    let serial = sweep(&[Protocol::Reno], &[5], 2, &[3], 1);
+    let wide = sweep(&[Protocol::Reno], &[5], 2, &[3], 64);
     assert_eq!(
         serial.cells[0].report.cov.to_bits(),
         wide.cells[0].report.cov.to_bits()
