@@ -7,8 +7,8 @@
 //! throughput bias against long-RTT flows (`1/RTT` scaling) versus Vegas's
 //! queue-based sharing.
 
-use tcpburst_bench::{bench_duration, bench_seed};
-use tcpburst_core::{Protocol, Scenario, ScenarioBuilder};
+use tcpburst_bench::{bench_duration, bench_seed, cross, grid};
+use tcpburst_core::{Protocol, ScenarioBuilder};
 use tcpburst_stats::RunningStats;
 
 fn main() {
@@ -21,25 +21,25 @@ fn main() {
         "{:>8} {:>8} {:>10} {:>12} {:>14} {:>14}",
         "spread", "proto", "fairness", "delivered", "min flow", "max flow"
     );
-    for spread in [0.0, 1.0, 3.0, 9.0] {
-        for p in [Protocol::Reno, Protocol::Vegas] {
-            let cfg = ScenarioBuilder::paper()
-                .topology(|t| t.clients(clients).rtt_spread(spread))
-                .transport(|t| t.protocol(p))
-                .instrumentation(|i| i.duration(duration).seed(bench_seed()))
-                .finish();
-            let r = Scenario::run(&cfg);
-            let flows: RunningStats = r.flows.iter().map(|f| f.delivered as f64).collect();
-            println!(
-                "{:>8} {:>8} {:>10.4} {:>12} {:>14.0} {:>14.0}",
-                spread,
-                p.label(),
-                r.fairness,
-                r.delivered_packets,
-                flows.min(),
-                flows.max()
-            );
-        }
+    let rows = cross(&[0.0, 1.0, 3.0, 9.0], &[Protocol::Reno, Protocol::Vegas]);
+    let runs = grid(rows, |&(spread, p)| {
+        ScenarioBuilder::paper()
+            .topology(|t| t.clients(clients).rtt_spread(spread))
+            .transport(|t| t.protocol(p))
+            .instrumentation(|i| i.duration(duration).seed(bench_seed()))
+            .finish()
+    });
+    for ((spread, p), r) in runs {
+        let flows: RunningStats = r.flows.iter().map(|f| f.delivered as f64).collect();
+        println!(
+            "{:>8} {:>8} {:>10.4} {:>12} {:>14.0} {:>14.0}",
+            spread,
+            p.label(),
+            r.fairness,
+            r.delivered_packets,
+            flows.min(),
+            flows.max()
+        );
     }
     println!(
         "\n(spread s: client i's access delay = 2ms * (1 + s*i/(M-1)); at s = 9 the\n longest path has a 10x base RTT.)"

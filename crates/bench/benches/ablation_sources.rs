@@ -7,8 +7,8 @@
 //! If the paper is right, the transport factor moves the c.o.v. more than
 //! the input factor once the network is congested.
 
-use tcpburst_bench::{bench_duration, bench_seed};
-use tcpburst_core::{Protocol, Scenario, ScenarioBuilder, SourceKind};
+use tcpburst_bench::{bench_duration, bench_seed, cross, grid};
+use tcpburst_core::{Protocol, ScenarioBuilder, SourceKind};
 use tcpburst_traffic::ParetoOnOffConfig;
 
 fn main() {
@@ -32,23 +32,23 @@ fn main() {
             }),
         ),
     ];
-    for (name, source) in sources {
-        for p in [Protocol::Udp, Protocol::Reno, Protocol::Vegas] {
-            let cfg = ScenarioBuilder::paper()
-                .topology(|t| t.clients(clients))
-                .transport(|t| t.protocol(p))
-                .workload(|w| w.source(source))
-                .instrumentation(|i| i.duration(duration).seed(bench_seed()))
-                .finish();
-            let r = Scenario::run(&cfg);
-            println!(
-                "{:>14} {:>8} {:>10.4} {:>12} {:>8.2}",
-                name,
-                p.label(),
-                r.cov,
-                r.delivered_packets,
-                r.loss_percent
-            );
-        }
+    let rows = cross(&sources, &[Protocol::Udp, Protocol::Reno, Protocol::Vegas]);
+    let runs = grid(rows, |&((_, source), p)| {
+        ScenarioBuilder::paper()
+            .topology(|t| t.clients(clients))
+            .transport(|t| t.protocol(p))
+            .workload(|w| w.source(source))
+            .instrumentation(|i| i.duration(duration).seed(bench_seed()))
+            .finish()
+    });
+    for (((name, _), p), r) in runs {
+        println!(
+            "{:>14} {:>8} {:>10.4} {:>12} {:>8.2}",
+            name,
+            p.label(),
+            r.cov,
+            r.delivered_packets,
+            r.loss_percent
+        );
     }
 }

@@ -8,14 +8,15 @@
 //! * `TCPBURST_SEED` — master seed (default the crate's fixed seed).
 //!
 //! Full-resolution figure data (CSV) is written to
-//! `target/paper_figures/`.
+//! `crates/bench/target/paper_figures/` (cargo runs bench targets from the
+//! package root).
 
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 
 use tcpburst_core::experiments::Sweep;
-use tcpburst_core::{Protocol, ScenarioBuilder, SweepSupervisor};
+use tcpburst_core::{Protocol, ScenarioBuilder, ScenarioConfig, ScenarioReport, SweepSupervisor};
 use tcpburst_des::SimDuration;
 
 /// Simulated duration per scenario, from `TCPBURST_SECS` (default: the
@@ -65,14 +66,43 @@ pub fn sweep(protocols: &[Protocol], clients: &[usize], seeds: &[u64]) -> Sweep 
     run.sweep
 }
 
-/// Directory where bench targets drop full-resolution CSVs.
+/// Every `(outer, inner)` pair, outer-major: an ablation's row order.
+pub fn cross<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
+    outer
+        .iter()
+        .flat_map(|&a| inner.iter().map(move |&b| (a, b)))
+        .collect()
+}
+
+/// Runs one configuration per row as a grid on every core, through the
+/// supervisor the CLI uses, and pairs each row with its report.
+///
+/// # Panics
+///
+/// Panics if a point fails: every row of an ablation table needs its
+/// report.
+pub fn grid<R>(rows: Vec<R>, config: impl Fn(&R) -> ScenarioConfig) -> Vec<(R, ScenarioReport)> {
+    let configs: Vec<ScenarioConfig> = rows.iter().map(config).collect();
+    let reports = SweepSupervisor::from_configs(&configs)
+        .run_grid()
+        .reports()
+        .unwrap_or_else(|(i, e)| {
+            let why = e.map_or("skipped".to_string(), |e| e.to_string());
+            panic!("grid point {i} failed: {why}")
+        });
+    rows.into_iter().zip(reports).collect()
+}
+
+/// Directory where bench targets drop full-resolution CSVs, absolute:
+/// `target/paper_figures` under the package root, where cargo runs them.
 pub fn figures_dir() -> PathBuf {
-    let dir = PathBuf::from("target").join("paper_figures");
+    let dir = std::path::absolute("target/paper_figures").expect("resolve the figures directory");
     fs::create_dir_all(&dir).expect("create target/paper_figures");
     dir
 }
 
-/// Writes `contents` under [`figures_dir`] and reports where.
+/// Writes `contents` under [`figures_dir`] and reports the path it landed
+/// at.
 pub fn write_figure_csv(name: &str, contents: &str) {
     let path = figures_dir().join(name);
     fs::write(&path, contents).expect("write figure CSV");

@@ -41,7 +41,7 @@ USAGE:
                        [--liveness-ms N] [--grace-ms N]
     tcpburst worker    --connect ADDR [--token T] [--heartbeat-ms N]
                        [--max-reconnects N]
-    tcpburst submit    --connect ADDR [--token T] sweep [sweep flags...]
+    tcpburst submit    --connect ADDR [--token T] sweep|replicate [flags...]
 
 SCENARIO FLAGS (one builder stage each):
 {}
@@ -101,8 +101,9 @@ SWEEP SERVICE (distributed fan-out over TCP):
                            heartbeats while computing, reconnects with
                            exponential backoff + jitter and a digest-keyed
                            resume handshake
-    submit                 sends a sweep job to the daemon and streams its
-                           output back; exits nonzero if the sweep failed
+    submit                 sends a sweep or replicate job to the daemon and
+                           streams its output back; exits nonzero if it
+                           failed
     --token T              shared job token (both sides default to
                            '{DEFAULT_TOKEN}')
     --liveness-ms N        daemon: declare a worker dead after N ms of
@@ -180,10 +181,6 @@ struct Args {
     budget: RunBudget,
     journal: Option<PathBuf>,
     resume: Option<PathBuf>,
-    /// The raw argument tail after the subcommand, verbatim — re-executed
-    /// by worker processes so parent and child parse the identical base
-    /// configuration.
-    raw: Vec<String>,
 }
 
 /// Sweep-service flags, stripped from the argument tail before scenario
@@ -413,7 +410,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         budget,
         journal,
         resume,
-        raw: Vec::new(),
     })
 }
 
@@ -538,11 +534,8 @@ fn run_sweep(
         supervisor = supervisor.remote(remote);
     } else if args.workers != 1 {
         // Worker processes re-execute this binary's hidden `worker`
-        // subcommand with our own argument tail, so both sides parse the
-        // identical base configuration.
-        let mut worker_args = vec!["worker".to_string()];
-        worker_args.extend(args.raw.iter().cloned());
-        let command = WorkerCommand::current_exe(worker_args)
+        // subcommand; each point frame carries its whole configuration.
+        let command = WorkerCommand::current_exe(vec!["worker".to_string()])
             .map_err(|e| format!("resolving worker binary: {e}"))?;
         supervisor = supervisor.workers(args.workers).worker_command(command);
     }
@@ -628,26 +621,27 @@ fn cmd_serve(net: &NetOpts) -> Result<(), String> {
 
 fn serve_one_job(gateway: &Arc<Gateway>, job: &mut JobConn, net: &NetOpts) {
     let argv = job.argv().to_vec();
-    let Some(("sweep", tail)) = argv.split_first().map(|(s, t)| (s.as_str(), t)) else {
-        job.finish(false, "only 'sweep' jobs are supported");
+    let Some((cmd @ ("sweep" | "replicate"), tail)) =
+        argv.split_first().map(|(s, t)| (s.as_str(), t))
+    else {
+        job.finish(false, "only 'sweep' and 'replicate' jobs are supported");
         return;
     };
-    let mut args = match parse_args(tail.iter().cloned()) {
+    let args = match parse_args(tail.iter().cloned()) {
         Ok(args) => args,
         Err(e) => {
             job.finish(false, &format!("job argv: {e}"));
             return;
         }
     };
-    args.raw = tail.to_vec();
     let tuning = ExecTuning {
         liveness: net.liveness,
         grace: net.grace,
     };
-    let exec = Arc::new(RemoteExec::new(Arc::clone(gateway), tail.to_vec(), tuning));
+    let exec = Arc::new(RemoteExec::new(Arc::clone(gateway), tuning));
     let mut out = Vec::new();
     let mut err = Vec::new();
-    let result = run_sweep(&args, false, Some(exec), &mut out, &mut err);
+    let result = run_sweep(&args, cmd == "replicate", Some(exec), &mut out, &mut err);
     if !out.is_empty() {
         job.send_out(&String::from_utf8_lossy(&out));
     }
@@ -725,15 +719,10 @@ fn main() -> ExitCode {
                 max_reconnects: net.max_reconnects,
                 ..WorkerOptions::default()
             };
-            let parse = |argv: &[String]| -> Result<_, String> {
-                let mut args = parse_args(argv.iter().cloned())?;
-                args.raw = argv.to_vec();
-                Ok(args.cfg)
-            };
-            return ExitCode::from(remote_worker_main(&opts, &parse) as u8);
+            return ExitCode::from(remote_worker_main(&opts) as u8);
         }
     }
-    let mut args = match parse_args(scenario_rest.iter().cloned()) {
+    let args = match parse_args(scenario_rest.iter().cloned()) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -741,11 +730,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    args.raw = scenario_rest;
     if cmd == "worker" {
-        // Hidden subcommand: a sweep parent spawned us with its own flag
-        // tail; serve grid points over stdin/stdout until EOF.
-        return ExitCode::from(worker_main(&args.cfg) as u8);
+        // Hidden subcommand: serve the grid points a sweep parent sends
+        // over stdin/stdout until EOF. Each point frame carries its whole
+        // configuration, so scenario flags are accepted and ignored.
+        return ExitCode::from(worker_main() as u8);
     }
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),

@@ -1,18 +1,22 @@
-//! Exact, dependency-free serialization of a [`ScenarioReport`].
+//! Exact, dependency-free serialization of a [`ScenarioReport`] and of a
+//! [`ScenarioConfig`].
 //!
-//! This codec is the persistence format of the content-addressed result
-//! store ([`crate::store`]) *and* the payload format of the worker-process
-//! protocol ([`crate::workers`]): one serializer, so a report loaded from
-//! cache and a report streamed back from a worker process are
+//! The report codec is the persistence format of the content-addressed
+//! result store ([`crate::store`]) *and* the reply format of the
+//! worker-process protocol ([`crate::workers`]): one serializer, so a report
+//! loaded from cache and a report streamed back from a worker process are
 //! reconstructed by the same code path and are **bit-identical** to the
-//! freshly computed original.
+//! freshly computed original. The config codec ([`encode_config`]) is what
+//! a point frame carries to the worker: the whole configuration of that
+//! point, which decodes to a config with the same `Debug` form, and so the
+//! same [`point_digest`](crate::store::point_digest), as the one sent.
 //!
 //! Floating-point fields are written as the 16-hex-digit form of
 //! [`f64::to_bits`] and parsed back with [`f64::from_bits`] — exact by
 //! construction, with no dependence on shortest-round-trip formatting.
 //! Everything else is decimal integers on labelled lines, so a truncated
 //! or hand-mangled payload fails to parse instead of silently decoding to
-//! a different report.
+//! a different value.
 //!
 //! ## What cannot be encoded
 //!
@@ -29,11 +33,21 @@
 //!   carries `&'static str` invariant names that cannot round-trip
 //!   through a file (and a violated run has no business in a cache).
 
-use tcpburst_des::SimDuration;
-use tcpburst_net::QueueStats;
-use tcpburst_stats::BinCounts;
-use tcpburst_transport::TcpCounters;
+use std::fmt::Write as _;
+use std::str::SplitWhitespace;
 
+use tcpburst_des::SimDuration;
+use tcpburst_net::{
+    AdaptiveRedParams, CapacityVariation, CrossTraffic, DelayVariation, Impairments, LinkFlap,
+    QueueStats,
+};
+use tcpburst_stats::BinCounts;
+use tcpburst_traffic::ParetoOnOffConfig;
+use tcpburst_transport::{GaimdParams, TcpCounters, TcpVariant, VegasParams};
+
+use crate::config::{
+    GatewayKind, PaperParams, ScenarioConfig, SourceKind, TopoKind, TransportKind,
+};
 use crate::profile::{DispatchProfile, EventClassStats, TimerReport};
 use crate::report::{FlowReport, ImpairmentReport, ScenarioReport};
 use crate::supervise::AuditReport;
@@ -41,6 +55,9 @@ use crate::supervise::AuditReport;
 /// Format tag on the first payload line; bumped together with
 /// [`ENGINE_SCHEMA_VERSION`](crate::store::ENGINE_SCHEMA_VERSION).
 const MAGIC: &str = "tcpburst-report";
+
+/// Header line of a config payload: format tag and version.
+const CONFIG_HEADER: &str = "tcpburst-config 1\n";
 
 fn f2s(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -51,7 +68,6 @@ fn s2f(s: &str) -> Option<f64> {
 }
 
 fn push_tcp(out: &mut String, t: &TcpCounters) {
-    use std::fmt::Write as _;
     let _ = write!(
         out,
         "{} {} {} {} {} {} {} {} {} {}",
@@ -97,7 +113,6 @@ pub fn encodable(report: &ScenarioReport) -> bool {
 /// Serializes `report` to the line-based text payload, or `None` if the
 /// report carries state the codec refuses to encode ([`encodable`]).
 pub fn encode(report: &ScenarioReport) -> Option<String> {
-    use std::fmt::Write as _;
     if !encodable(report) {
         return None;
     }
@@ -392,6 +407,195 @@ pub fn decode(payload: &str) -> Option<ScenarioReport> {
     })
 }
 
+// ---------------------------------------------------------------------------
+// The config codec
+// ---------------------------------------------------------------------------
+
+/// A value the config codec writes as whitespace-separated tokens, in the
+/// style of `push_tcp`/`parse_tcp`: `take` reads back exactly what `put`
+/// wrote.
+trait Wire: Sized {
+    /// Appends the value's tokens, each preceded by a space.
+    fn put(&self, out: &mut String);
+    /// Reads the value's tokens; `None` for a missing or malformed token.
+    fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self>;
+}
+
+/// Integers and flags: their decimal (`true`/`false`) form.
+macro_rules! wire_display {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut String) {
+                let _ = write!(out, " {self}");
+            }
+            fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self> {
+                tokens.next()?.parse().ok()
+            }
+        }
+    )*};
+}
+
+wire_display!(bool, u32, u64, usize);
+
+/// The `f2s` form, written in place.
+impl Wire for f64 {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, " {:016x}", self.to_bits());
+    }
+    fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self> {
+        s2f(tokens.next()?)
+    }
+}
+
+impl Wire for SimDuration {
+    fn put(&self, out: &mut String) {
+        self.as_nanos().put(out);
+    }
+    fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self> {
+        u64::take(tokens).map(SimDuration::from_nanos)
+    }
+}
+
+/// `-` for `None`; a `Some` is its value alone, whose first token is
+/// never `-`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut String) {
+        match self {
+            None => out.push_str(" -"),
+            Some(v) => v.put(out),
+        }
+    }
+    fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self> {
+        let mut peek = tokens.clone();
+        if peek.next()? == "-" {
+            *tokens = peek;
+            return Some(None);
+        }
+        T::take(tokens).map(Some)
+    }
+}
+
+/// A struct as its fields in declaration order. The field list is written
+/// once: `put` destructures it with no `..` rest pattern and `take` builds
+/// it with a full struct literal, so a field added to the struct fails to
+/// compile here until it is listed.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) {
+                let $ty { $($field),* } = self;
+                $($field.put(out);)*
+            }
+            fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self> {
+                Some($ty { $($field: Wire::take(tokens)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    ScenarioConfig {
+        num_clients, topology, transport, gateway, delayed_ack, source, params, vegas, gaimd,
+        red_max_p, red_weight, adaptive_red, ecn, duration, warmup, cov_bin, rtt_spread, seed,
+        impair, trace_cwnd, trace_events, trace_hops, audit,
+    }
+    PaperParams {
+        client_bandwidth_bps, client_delay, bottleneck_bandwidth_bps, bottleneck_delay,
+        advertised_window, gateway_buffer_pkts, packet_bytes, mean_intergeneration_secs,
+        total_test_secs, red_min_th, red_max_th,
+    }
+    VegasParams { alpha, beta, gamma }
+    GaimdParams { alpha, beta }
+    AdaptiveRedParams { alpha, beta, min_max_p, max_max_p, interval }
+    Impairments { flap, capacity, delay, corrupt_prob, cross }
+    LinkFlap { down, up }
+    CapacityVariation { factor, period }
+    DelayVariation { factor, period }
+    CrossTraffic { rate_pps, packet_bytes }
+    ParetoOnOffConfig { peak_rate, mean_on_secs, mean_off_secs, shape }
+}
+
+/// An enum as its variant's tag token, then the variant's fields in
+/// order. As in `wire_struct!`, `put` matches with no wildcard arm, so a
+/// variant added to the enum fails to compile here until it is listed.
+macro_rules! wire_enum {
+    ($($ty:ident {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(($inner:ident))?),* $(,)?
+    })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut String) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(($inner))? => {
+                        out.push_str(concat!(" ", $tag));
+                        $($($field.put(out);)*)?
+                        $($inner.put(out);)?
+                    })*
+                }
+            }
+            fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self> {
+                Some(match tokens.next()? {
+                    $($tag => $ty::$variant
+                        $({ $($field: Wire::take(tokens)?),* })?
+                        $(({ let $inner = Wire::take(tokens)?; $inner }))?,)*
+                    _ => return None,
+                })
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    TopoKind {
+        "dumbbell" => Dumbbell,
+        "parking-lot" => ParkingLot { hops, flows_per_hop },
+        "incast" => Incast { fanin },
+        "waxman" => Waxman { nodes, alpha, beta },
+    }
+    TransportKind { "udp" => Udp, "tcp" => Tcp(variant) }
+    GatewayKind { "fifo" => Fifo, "red" => Red, "adaptive-red" => AdaptiveRed }
+    SourceKind {
+        "poisson" => Poisson { rate },
+        "cbr" => Cbr { rate },
+        "pareto" => ParetoOnOff(cfg),
+    }
+}
+
+/// A TCP variant by its `Debug` name, looked up in [`TcpVariant::ALL`].
+impl Wire for TcpVariant {
+    fn put(&self, out: &mut String) {
+        let _ = write!(out, " {self:?}");
+    }
+    fn take(tokens: &mut SplitWhitespace<'_>) -> Option<Self> {
+        let name = tokens.next()?;
+        TcpVariant::ALL
+            .into_iter()
+            .find(|v| format!("{v:?}") == name)
+    }
+}
+
+/// Serializes `cfg` to the payload a point frame carries: a header line,
+/// one line of every field's tokens in declaration order, and `end`.
+pub fn encode_config(cfg: &ScenarioConfig) -> String {
+    let mut out = String::with_capacity(1024);
+    out.push_str(CONFIG_HEADER);
+    cfg.put(&mut out);
+    out.push_str("\nend\n");
+    out
+}
+
+/// Parses a payload produced by [`encode_config`] back into a
+/// configuration with the identical `Debug` form; `None` for anything
+/// malformed, truncated (the `end` line is missing), or from a different
+/// format version.
+pub fn decode_config(payload: &str) -> Option<ScenarioConfig> {
+    let body = payload
+        .strip_prefix(CONFIG_HEADER)?
+        .strip_suffix("\nend\n")?;
+    let mut tokens = body.split_whitespace();
+    let cfg = ScenarioConfig::take(&mut tokens)?;
+    tokens.next().is_none().then_some(cfg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,6 +762,48 @@ mod tests {
         let mut extended = payload.clone();
         extended.push_str("trailing\n");
         assert!(decode(&extended).is_none());
+    }
+
+    /// A config with every optional part set: traces, a bin override and
+    /// a full impairment schedule on a Waxman graph.
+    fn sample_config() -> ScenarioConfig {
+        crate::ScenarioBuilder::paper()
+            .topology(|t| {
+                t.shape(TopoKind::Waxman {
+                    nodes: 6,
+                    alpha: 0.6,
+                    beta: 0.4,
+                })
+            })
+            .workload(|w| w.pareto(ParetoOnOffConfig::default()))
+            .transport(|t| t.protocol(crate::Protocol::VegasRed).ecn(true))
+            .impairments(|i| {
+                i.spec("flap:3s/10s,cap:0.5/5s,delay:2/5s,corrupt:1e-5,cross:500/1000")
+                    .expect("a valid spec")
+            })
+            .instrumentation(|i| {
+                i.cov_bin(Some(SimDuration::from_millis(11)))
+                    .warmup(SimDuration::from_secs(1))
+                    .trace_hops(true)
+                    .audit(true)
+            })
+            .finish()
+    }
+
+    #[test]
+    fn every_config_truncation_fails_to_parse() {
+        let cfg = sample_config();
+        let payload = encode_config(&cfg);
+        let back = decode_config(&payload).expect("the whole payload decodes");
+        assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        for cut in 0..payload.len() {
+            assert!(
+                decode_config(&payload[..cut]).is_none(),
+                "truncation at byte {cut} decoded"
+            );
+        }
+        assert!(decode_config(&format!("{payload}trailing\n")).is_none());
+        assert!(decode_config(&payload.replace(" tcp Vegas ", " tcp Nope ")).is_none());
     }
 
     #[test]

@@ -19,12 +19,15 @@
 //! output stays byte-identical and the robustness model described there
 //! holds here too.
 //!
-//! A disconnected worker reconnects with exponential backoff + jitter,
-//! offering the job digest it already holds; a matching digest
-//! short-circuits to a `resume` handshake (`backoff_retries`) instead of
-//! reshipping the config. A worker that has served a job gets `shutdown`
-//! and exits; one that registers after the job drained stays parked for
-//! the next job.
+//! A driven worker is greeted with `job <digest>` and answers
+//! `ready <digest>`. The greeting carries no configuration: every point
+//! frame carries its point's whole config ([`crate::workers`]), so the
+//! worker holds only the digest. A disconnected worker reconnects with
+//! exponential backoff + jitter, offering the digest it holds; a matching
+//! digest is greeted `resume <digest>` instead and counts as a
+//! `backoff_retries`. A worker that has served a job gets `shutdown` and
+//! exits; one that registers after the job drained stays parked for the
+//! next job.
 
 use std::fmt;
 use std::io;
@@ -33,7 +36,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::config::ScenarioConfig;
 use crate::net_transport::{FrameTransport, TcpTransport};
 use crate::store::ENGINE_SCHEMA_VERSION;
 use crate::workers::{serve_points, with_chaos, Event, Fleet, SessionEnd, Worker};
@@ -260,20 +262,13 @@ fn classify(stream: TcpStream, token: &str, workers: &Mutex<Door>, jobs: &Sender
 #[derive(Debug)]
 pub struct RemoteExec {
     gateway: Arc<Gateway>,
-    argv: Vec<String>,
     tuning: ExecTuning,
 }
 
 impl RemoteExec {
-    /// A remote executor shipping `argv` (the scenario argument tail both
-    /// sides parse into the identical base config) to workers registered
-    /// at `gateway`.
-    pub fn new(gateway: Arc<Gateway>, argv: Vec<String>, tuning: ExecTuning) -> RemoteExec {
-        RemoteExec {
-            gateway,
-            argv,
-            tuning,
-        }
+    /// A remote executor driving the workers registered at `gateway`.
+    pub fn new(gateway: Arc<Gateway>, tuning: ExecTuning) -> RemoteExec {
+        RemoteExec { gateway, tuning }
     }
 }
 
@@ -296,18 +291,17 @@ impl Fleet for RemoteExec {
         self.tuning
     }
 
-    /// Registration reply: a reconnecting worker offering the right digest
-    /// resumes without reshipping the config.
+    /// Registration reply: `job <digest>`, or `resume <digest>` for a
+    /// reconnecting worker offering the job's digest.
     fn greet(&self, worker: &mut Worker, digest: &str) -> Option<bool> {
         let resumed = worker.resume.as_deref() == Some(digest);
         let greeting = if resumed {
             format!("resume {digest}")
         } else {
-            format!("job {digest}\n{}", self.argv.join("\n"))
+            format!("job {digest}")
         };
         let t = &mut worker.link;
-        // A config parse failure, digest mismatch or death during setup
-        // leaves nothing in flight.
+        // A digest mismatch or death during setup leaves nothing in flight.
         let ready = t.send_text(&greeting).is_ok()
             && t.set_read_deadline(Some(self.tuning.liveness)).is_ok()
             && matches!(t.recv_text(), Ok(Some(text)) if text == format!("ready {digest}"));
@@ -391,21 +385,14 @@ fn backoff_delay(opts: &WorkerOptions, failures: u32) -> Duration {
 /// them on a helper thread while heartbeating the connection — until a
 /// clean shutdown. A lost connection reconnects with exponential backoff
 /// and jitter, offering the held job digest so the daemon can `resume` the
-/// session without reshipping the config. Returns the process exit code.
-///
-/// `parse` rebuilds the scenario base config from a job's argv tail (the
-/// CLI passes its own parser, so daemon and worker run the identical
-/// flag handling).
-pub fn remote_worker_main(
-    opts: &WorkerOptions,
-    parse: &dyn Fn(&[String]) -> Result<ScenarioConfig, String>,
-) -> i32 {
-    let mut held: Option<(String, ScenarioConfig)> = None;
+/// session. Returns the process exit code.
+pub fn remote_worker_main(opts: &WorkerOptions) -> i32 {
+    let mut held: Option<String> = None;
     let mut failures = 0u32;
     loop {
         let end = match connect(opts) {
             Ok(transport) => {
-                let end = with_chaos(transport, |t| session_loop(t, opts, parse, &mut held));
+                let end = with_chaos(transport, |t| session_loop(t, opts, &mut held));
                 if matches!(end, SessionEnd::Lost) {
                     // Only a *connected* session resets the failure count;
                     // a session that dies immediately keeps backing off.
@@ -453,13 +440,9 @@ fn connect(opts: &WorkerOptions) -> io::Result<TcpTransport> {
 fn session_loop(
     t: &mut dyn FrameTransport,
     opts: &WorkerOptions,
-    parse: &dyn Fn(&[String]) -> Result<ScenarioConfig, String>,
-    held: &mut Option<(String, ScenarioConfig)>,
+    held: &mut Option<String>,
 ) -> SessionEnd {
-    let resume = match held {
-        Some((digest, _)) => digest.clone(),
-        None => "-".to_string(),
-    };
+    let resume = held.as_deref().unwrap_or("-");
     if t.send_text(&format!(
         "worker {} {ENGINE_SCHEMA_VERSION} {resume}",
         opts.token
@@ -477,36 +460,23 @@ fn session_loop(
         Ok(None) => return SessionEnd::Done,
         Err(_) => return SessionEnd::Lost,
     };
-    let (digest, cfg) = if let Some(reason) = greeting.strip_prefix("reject ") {
+    let digest = if let Some(reason) = greeting.strip_prefix("reject ") {
         return SessionEnd::Rejected(reason.to_string());
-    } else if let Some(rest) = greeting.strip_prefix("resume ") {
-        match held {
-            Some((digest, cfg)) if digest == rest => (digest.clone(), *cfg),
-            _ => return SessionEnd::Lost,
+    } else if let Some(digest) = greeting.strip_prefix("resume ") {
+        if held.as_deref() != Some(digest) {
+            return SessionEnd::Lost;
         }
-    } else if let Some(rest) = greeting.strip_prefix("job ") {
-        let (digest, argv_text) = match rest.split_once('\n') {
-            Some((d, tail)) => (d.to_string(), tail),
-            None => (rest.to_string(), ""),
-        };
-        let argv: Vec<String> = argv_text.lines().map(str::to_string).collect();
-        match parse(&argv) {
-            Ok(cfg) => {
-                *held = Some((digest.clone(), cfg));
-                (digest, cfg)
-            }
-            Err(e) => {
-                eprintln!("worker: cannot parse job argv: {e}");
-                return SessionEnd::Rejected(format!("argv parse failed: {e}"));
-            }
-        }
+        digest
+    } else if let Some(digest) = greeting.strip_prefix("job ") {
+        *held = Some(digest.to_string());
+        digest
     } else {
         return SessionEnd::Lost;
     };
     if t.send_text(&format!("ready {digest}")).is_err() {
         return SessionEnd::Lost;
     }
-    serve_points(t, &cfg, Some(opts.heartbeat))
+    serve_points(t, Some(opts.heartbeat))
 }
 
 // ---------------------------------------------------------------------------
@@ -514,9 +484,10 @@ fn session_loop(
 // ---------------------------------------------------------------------------
 
 /// Submits a sweep job (`argv` is the CLI tail the daemon will run, e.g.
-/// `["sweep", "--protocols", "reno", …]`) and streams the daemon's output
-/// into `out`/`err`. Returns `Ok(true)` when the daemon reports success,
-/// `Ok(false)` when the sweep ran but failed, `Err` on transport trouble.
+/// `["sweep", "--protocols", "reno", …]` or `["replicate", …]`) and
+/// streams the daemon's output into `out`/`err`. Returns `Ok(true)` when
+/// the daemon reports success, `Ok(false)` when the sweep ran but failed,
+/// `Err` on transport trouble.
 pub fn submit_job(
     addr: &str,
     token: &str,
@@ -618,7 +589,7 @@ mod tests {
             .send_text(&format!("worker tok {ENGINE_SCHEMA_VERSION} abc123"))
             .expect("send");
         // A running job's fleet receives the registration.
-        let exec = RemoteExec::new(Arc::clone(&gateway), Vec::new(), ExecTuning::default());
+        let exec = RemoteExec::new(Arc::clone(&gateway), ExecTuning::default());
         let (events, arrivals) = channel();
         assert_eq!(exec.open(&events), 0);
         match arrivals.recv_timeout(Duration::from_secs(5)) {

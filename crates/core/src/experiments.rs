@@ -20,8 +20,6 @@ use std::fmt::Write as _;
 use tcpburst_des::{SimDuration, SimTime};
 use tcpburst_stats::TimeSeries;
 
-use tcpburst_transport::GaimdParams;
-
 use crate::config::{PaperParams, Protocol, ScenarioConfig};
 use crate::plot::{render_line_chart, ChartOptions, Series};
 use crate::report::ScenarioReport;
@@ -309,6 +307,9 @@ impl Sweep {
 /// fixed `beta`, to show how softening the additive increase smooths the
 /// aggregated traffic. `alpha = 0` with `beta = 1` is exactly Reno, so the
 /// first column of the default sweep doubles as a regression anchor.
+///
+/// A view: the points run as a grid of configurations on
+/// [`SweepSupervisor::from_configs`](crate::SweepSupervisor::from_configs).
 #[derive(Debug, Clone)]
 pub struct GaimdAlphaSweep {
     /// `(alpha, report)` per grid point, in `alphas` order.
@@ -320,36 +321,6 @@ pub struct GaimdAlphaSweep {
 }
 
 impl GaimdAlphaSweep {
-    /// Runs one GAIMD scenario per `alpha`, all other knobs (clients,
-    /// duration, seed, workload, …) inherited from `base`. Points are
-    /// fanned across `jobs` threads by
-    /// [`run_indexed`](crate::parallel::run_indexed) and reassembled in
-    /// `alphas` order, bit-identical at every `jobs` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alphas` is empty or any exponent is out of range
-    /// (`alpha` in `[0, 1)`, `beta` in `(0, 1]`).
-    pub fn run_with_jobs_from(
-        base: &ScenarioConfig,
-        alphas: &[f64],
-        beta: f64,
-        jobs: usize,
-    ) -> Self {
-        assert!(!alphas.is_empty(), "need at least one alpha");
-        let cells = crate::parallel::run_indexed(jobs, alphas.len(), |i| {
-            let mut cfg = *base;
-            cfg.apply_protocol(Protocol::Gaimd);
-            cfg.gaimd = GaimdParams { alpha: alphas[i], beta };
-            (alphas[i], Scenario::run(&cfg))
-        });
-        GaimdAlphaSweep {
-            cells,
-            beta,
-            clients: base.num_clients,
-        }
-    }
-
     /// The c.o.v.-vs-`alpha` table, one row per exponent, with the Poisson
     /// reference and the loss/timeout columns that explain *why* the
     /// burstiness moves.

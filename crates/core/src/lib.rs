@@ -23,12 +23,11 @@
 //!   Figures 5–12 congestion-window evolution, Figure 13 timeout ratio),
 //!   each returning printable rows,
 //! * [`PaperParams`] — the reconstructed Table 1,
-//! * [`SweepSupervisor`] — the one runner of a `protocol × clients × seed`
-//!   grid, whose outcome [`experiments::Sweep`] and [`ReplicatedSweep`]
-//!   render: any `--jobs` or `--workers` value produces bit-identical
-//!   reports,
-//! * [`parallel`] — the deterministic fan-out for plain, unsupervised
-//!   batches,
+//! * [`SweepSupervisor`] — the one runner of every grid, a list of
+//!   configurations: a `protocol × clients × seed` grid folds into what
+//!   [`experiments::Sweep`] and [`ReplicatedSweep`] render, any other list
+//!   returns its reports in order, and any `--jobs` or `--workers` value
+//!   produces bit-identical reports,
 //! * [`store`] — the content-addressed result store: a finished grid
 //!   point is persisted under a digest of its full configuration and is
 //!   never recomputed,
@@ -101,21 +100,20 @@ pub use config::{
     TransportKind,
 };
 pub use event::{Event, ImpairEvent};
-pub use parallel::{available_jobs, run_indexed};
+pub use parallel::available_jobs;
 pub use profile::{DispatchProfile, EventClassStats, TimerReport};
 pub use replicate::{ReplicatedCell, ReplicatedSweep};
 pub use report::{FlowReport, HopSeries, ImpairmentReport, ScenarioReport};
 pub use scenario::Scenario;
 pub use store::{
-    point_digest, run_point_cached, sweep_digest, Digest, ResultStore, StoreStats,
-    ENGINE_SCHEMA_VERSION,
+    point_digest, sweep_digest, Digest, ResultStore, StoreStats, ENGINE_SCHEMA_VERSION,
 };
 pub use supervise::{
     run_point, AuditReport, ExceededBudget, FailurePolicy, InvariantViolation, JournalEntry,
-    PointFailure, PointOutcome, RunBudget, RunError, RunJournal, SupervisedSweep, Supervisor,
-    SweepSupervisor,
+    PointFailure, PointOutcome, PointSpec, RunBudget, RunError, RunJournal, SupervisedGrid,
+    SupervisedSweep, Supervisor, SweepSupervisor,
 };
 pub use trace::{EventLog, TraceEvent, TraceKind};
-pub use workers::{worker_main, PointSpec, RobustnessCounters, WorkerCommand};
+pub use workers::{worker_main, RobustnessCounters, WorkerCommand};
 
 pub use tcpburst_net::Impairments;

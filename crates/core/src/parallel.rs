@@ -8,15 +8,14 @@
 //! report rendering must see the same sequence regardless of which worker
 //! finished first.
 //!
-//! [`run_indexed`] is that contract in one function: a self-scheduling
+//! `run_indexed` is that contract in one function: a self-scheduling
 //! worker pool (scoped threads pulling indices off a shared atomic counter,
 //! which load-balances like work stealing without the deques) whose output
 //! vector is always in input order. `jobs == 1` bypasses the pool entirely
 //! and runs the exact serial code path on the calling thread.
 //!
-//! It serves the plain fan-outs that need no supervision: the GAIMD α sweep,
-//! the sweep supervisor's store lookups, and the golden-report and
-//! congestion-wave harnesses. Every `protocol × clients × seed` grid runs on
+//! It serves one fan-out that needs no supervision: the sweep supervisor's
+//! digests and store lookups. Every grid of scenario runs goes through
 //! [`SweepSupervisor`](crate::SweepSupervisor) instead, whose typed
 //! failures, budget retries and `--keep-going`/`--fail-fast` live on the
 //! one claim pool of [`crate::workers`], in-process or on worker processes
@@ -56,7 +55,7 @@ pub fn effective_jobs(requested: usize, tasks: usize) -> usize {
 ///
 /// Re-raises the lowest-index task panic. With more than one job every
 /// task still runs first: a panic costs its own slot, not the pool.
-pub fn run_indexed<T, F>(jobs: usize, tasks: usize, run: F) -> Vec<T>
+pub(crate) fn run_indexed<T, F>(jobs: usize, tasks: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

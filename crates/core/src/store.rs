@@ -83,7 +83,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::codec;
 use crate::config::ScenarioConfig;
 use crate::report::ScenarioReport;
-use crate::supervise::{run_point, RunBudget, RunError};
 
 /// Version of the engine's observable behaviour. Bumping it invalidates
 /// every result-store entry and every resume journal at once — do so
@@ -238,21 +237,15 @@ pub fn point_digest(cfg: &ScenarioConfig) -> Digest {
     Digest::of(format!("tcpburst-point-v{ENGINE_SCHEMA_VERSION}|{cfg:?}").as_bytes())
 }
 
-/// The digest identifying a whole sweep (base configuration plus its
-/// protocol, client and seed axes) — the journal header key. A journal
-/// written under one digest refuses to resume under another.
-pub fn sweep_digest(
-    base: &ScenarioConfig,
-    protocols: &[crate::config::Protocol],
-    clients: &[usize],
-    seeds: &[u64],
-) -> Digest {
-    Digest::of(
-        format!(
-            "tcpburst-sweep-v{ENGINE_SCHEMA_VERSION}|{base:?}|{protocols:?}|{clients:?}|{seeds:?}"
-        )
-        .as_bytes(),
-    )
+/// The digest identifying a whole grid: a hash of its points' digests, in
+/// grid order — the journal header key. A journal written under one digest
+/// refuses to resume under another.
+pub fn sweep_digest(points: &[Digest]) -> Digest {
+    let mut bytes = format!("tcpburst-sweep-v{ENGINE_SCHEMA_VERSION}|").into_bytes();
+    for point in points {
+        bytes.extend_from_slice(&point.0);
+    }
+    Digest::of(&bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -720,30 +713,6 @@ fn parse_entry(line: &[u8]) -> Option<(Digest, u64, u64)> {
 /// not codec-encodable.
 pub fn cacheable(cfg: &ScenarioConfig) -> bool {
     !cfg.trace_cwnd && !cfg.trace_events && !cfg.trace_hops
-}
-
-/// [`run_point`] with a read-through cache: a valid store entry is
-/// returned directly (bit-identical to recomputing, by the codec's
-/// round-trip guarantee); otherwise the point is simulated and — when it
-/// completes — written back. Store I/O failures on write-back are
-/// swallowed: losing a cache write must never fail a sweep.
-pub fn run_point_cached(
-    cfg: &ScenarioConfig,
-    budget: &RunBudget,
-    store: Option<&ResultStore>,
-) -> Result<ScenarioReport, RunError> {
-    let store = store.filter(|_| cacheable(cfg));
-    let digest = store.map(|_| point_digest(cfg));
-    if let (Some(store), Some(digest)) = (store, &digest) {
-        if let Some(report) = store.get(digest) {
-            return Ok(report);
-        }
-    }
-    let report = run_point(cfg, budget)?;
-    if let (Some(store), Some(digest)) = (store, &digest) {
-        let _ = store.put(digest, &report);
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

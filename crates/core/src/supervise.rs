@@ -40,11 +40,15 @@
 //! resumed sweep leaves the byte-identical journal an uninterrupted run
 //! would have.
 //!
-//! [`SweepSupervisor`] is the one runner of a `protocol × clients × seed`
-//! grid. Its seed axis defaults to the base configuration's one seed (the
-//! figure sweeps); `tcpburst replicate` sets `seed .. seed + R`, and
-//! [`ReplicatedSweep`](crate::ReplicatedSweep) folds the outcome into
-//! mean ± CI cells. Fresh points run on the one claim pool of
+//! [`SweepSupervisor`] is the one runner of every grid, and a grid is a
+//! list of [`ScenarioConfig`]s. [`SweepSupervisor::new`] builds the
+//! `protocol × clients × seed` list; its seed axis defaults to the base
+//! configuration's one seed (the figure sweeps), `tcpburst replicate` sets
+//! `seed .. seed + R`, and [`ReplicatedSweep`](crate::ReplicatedSweep)
+//! folds the outcome into mean ± CI cells.
+//! [`SweepSupervisor::from_configs`] takes any other list (ablation knobs,
+//! the GAIMD α axis), whose reports come back in list order. Fresh points
+//! run on the one claim pool of
 //! [`crate::workers`]: on [`Supervisor::jobs`] threads of the sweep's own
 //! process by default, or on a crash-isolated worker fleet, local or
 //! remote, when one is attached. A content-addressed
@@ -70,9 +74,7 @@ use crate::scenario::Scenario;
 use crate::store::{self, Digest, ResultStore, ENGINE_SCHEMA_VERSION};
 use crate::daemon::RemoteExec;
 use crate::parallel::effective_jobs;
-use crate::workers::{
-    self, Fleet, InProcess, LocalFleet, PointSpec, RobustnessCounters, WorkerCommand,
-};
+use crate::workers::{self, Fleet, InProcess, LocalFleet, RobustnessCounters, WorkerCommand};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -677,8 +679,44 @@ impl RunJournal {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised sweeps
+// Supervised grids
 // ---------------------------------------------------------------------------
+
+/// One point's coordinates on a `protocol × clients × seed` grid: its label
+/// in `FAILED`/`SKIPPED` lines and in journal lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PointSpec {
+    /// Protocol of the point.
+    pub protocol: Protocol,
+    /// Client count of the point.
+    pub clients: usize,
+    /// Seed of the point.
+    pub seed: u64,
+}
+
+impl PointSpec {
+    /// The point's configuration: `base` with this protocol, client count
+    /// and seed.
+    fn config(&self, base: &ScenarioConfig) -> ScenarioConfig {
+        let mut cfg = *base;
+        cfg.num_clients = self.clients;
+        cfg.apply_protocol(self.protocol);
+        cfg.seed = self.seed;
+        cfg
+    }
+}
+
+impl fmt::Display for PointSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} x {} clients (seed {})",
+            self.protocol.label(),
+            self.clients,
+            self.seed
+        )
+    }
+}
 
 /// The canonical (protocol-major, then clients, then seed) flattening of a
 /// grid: the order of a sweep's cells, its journal lines and the
@@ -698,6 +736,17 @@ fn canonical_grid(protocols: &[Protocol], clients: &[usize], seeds: &[u64]) -> V
         .collect()
 }
 
+/// The axes a [`SweepSupervisor::new`] grid was built from.
+#[derive(Debug, Clone)]
+struct Axes {
+    base: ScenarioConfig,
+    protocols: Vec<Protocol>,
+    clients: Vec<usize>,
+    seeds: Vec<u64>,
+    /// Each point's coordinates, in grid order.
+    labels: Vec<PointSpec>,
+}
+
 /// A failed grid point and why it failed.
 #[derive(Debug)]
 pub struct PointFailure {
@@ -710,6 +759,45 @@ pub struct PointFailure {
 impl fmt::Display for PointFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}: {}", self.point, self.error)
+    }
+}
+
+/// The outcome of any supervised grid: every point's outcome in grid
+/// order, and how the points were resolved.
+#[derive(Debug)]
+pub struct SupervisedGrid {
+    /// Each point's outcome, in grid order.
+    pub outcomes: Vec<PointOutcome<ScenarioReport>>,
+    /// How many points were restored from a resumed journal.
+    pub resumed_points: usize,
+    /// How many points actually ran (freshly) to completion.
+    pub completed_points: usize,
+    /// How many points were resolved from the content-addressed result
+    /// store without simulating (0 when no store is attached).
+    pub cache_hits: usize,
+    /// How many store lookups missed and fell through to a fresh run
+    /// (0 when no store is attached).
+    pub cache_misses: usize,
+    /// Control-plane robustness accounting (requeues, worker restarts,
+    /// heartbeat misses, backoff resumes). All zeros on a fault-free run
+    /// and for purely in-process execution.
+    pub robustness: RobustnessCounters,
+}
+
+impl SupervisedGrid {
+    /// Every point's report in grid order, or the index of the first point
+    /// that did not complete with its failure (`None` when a fail-fast
+    /// abort skipped it).
+    pub fn reports(self) -> Result<Vec<ScenarioReport>, (usize, Option<RunError>)> {
+        let mut reports = Vec::with_capacity(self.outcomes.len());
+        for (i, outcome) in self.outcomes.into_iter().enumerate() {
+            match outcome {
+                PointOutcome::Done(report) => reports.push(report),
+                PointOutcome::Failed(error) => return Err((i, Some(error))),
+                PointOutcome::Skipped => return Err((i, None)),
+            }
+        }
+        Ok(reports)
     }
 }
 
@@ -750,15 +838,23 @@ impl SupervisedSweep {
     }
 }
 
-/// Orchestrates a protocol × clients × seed sweep under a [`Supervisor`],
-/// with optional journalling/resumption, an optional content-addressed
-/// result store, and optional worker-process execution.
+/// The one runner of a supervised grid: a list of scenario configurations,
+/// each run once under a [`Supervisor`], with an optional
+/// content-addressed result store, optional worker-process or remote
+/// execution and, for a `protocol × clients × seed` grid, optional
+/// journalling and resumption.
+///
+/// [`new`](Self::new) builds the `protocol × clients × seed` grid the
+/// figures and the CLI sweep, which [`run`](Self::run) folds into a
+/// [`Sweep`]; [`from_configs`](Self::from_configs) takes any list of
+/// configurations, whose outcomes [`run_grid`](Self::run_grid) returns in
+/// list order.
 #[derive(Debug, Clone)]
 pub struct SweepSupervisor {
-    base: ScenarioConfig,
-    protocols: Vec<Protocol>,
-    clients: Vec<usize>,
-    seeds: Vec<u64>,
+    /// The grid: one configuration per point, in outcome order.
+    points: Vec<ScenarioConfig>,
+    /// The axes the points were built from; `None` for a list of configs.
+    axes: Option<Axes>,
     /// The supervision knobs (jobs, policy, budget, retries).
     pub supervisor: Supervisor,
     workers: usize,
@@ -778,11 +874,22 @@ impl SweepSupervisor {
     pub fn new(base: &ScenarioConfig, protocols: &[Protocol], clients: &[usize]) -> Self {
         assert!(!protocols.is_empty(), "need at least one protocol");
         assert!(!clients.is_empty(), "need at least one client count");
-        SweepSupervisor {
+        let axes = Axes {
             base: *base,
             protocols: protocols.to_vec(),
             clients: clients.to_vec(),
             seeds: vec![base.seed],
+            labels: Vec::new(),
+        };
+        SweepSupervisor::from_configs(&[]).with_axes(axes)
+    }
+
+    /// A supervisor for an arbitrary grid: one point per configuration, in
+    /// the order given. Its outcomes come from [`run_grid`](Self::run_grid).
+    pub fn from_configs(points: &[ScenarioConfig]) -> Self {
+        SweepSupervisor {
+            points: points.to_vec(),
+            axes: None,
             supervisor: Supervisor::default(),
             workers: 1,
             worker_command: None,
@@ -791,16 +898,39 @@ impl SweepSupervisor {
         }
     }
 
+    /// Rebuilds the points from `axes`, in canonical order.
+    fn with_axes(mut self, mut axes: Axes) -> Self {
+        axes.labels = canonical_grid(&axes.protocols, &axes.clients, &axes.seeds);
+        self.points = axes.labels.iter().map(|p| p.config(&axes.base)).collect();
+        self.axes = Some(axes);
+        self
+    }
+
+    /// The grid's axes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a grid from [`from_configs`](Self::from_configs).
+    fn axes(&self) -> &Axes {
+        self.axes
+            .as_ref()
+            .expect("a grid of configs has no protocol x clients axes; use run_grid")
+    }
+
     /// Sets the seed axis: every (protocol, clients) point runs once per
     /// seed, in the order given. The default is the base seed alone.
     ///
     /// # Panics
     ///
-    /// Panics if `seeds` is empty.
-    pub fn seeds(mut self, seeds: &[u64]) -> Self {
+    /// Panics if `seeds` is empty, or on a grid from
+    /// [`from_configs`](Self::from_configs).
+    pub fn seeds(self, seeds: &[u64]) -> Self {
         assert!(!seeds.is_empty(), "need at least one seed");
-        self.seeds = seeds.to_vec();
-        self
+        let axes = Axes {
+            seeds: seeds.to_vec(),
+            ..self.axes().clone()
+        };
+        self.with_axes(axes)
     }
 
     /// Sets the worker-thread count (0 = all cores).
@@ -837,9 +967,10 @@ impl SweepSupervisor {
         self
     }
 
-    /// Sets the command used to launch worker processes (the harness
-    /// binary's hidden `worker` subcommand, with the same scenario flags
-    /// as the parent so both sides build the identical base config).
+    /// Sets the command used to launch worker processes: the harness
+    /// binary's hidden `worker` subcommand, which serves
+    /// [`worker_main`](crate::worker_main). Each point frame carries its
+    /// whole configuration, so the command needs no scenario flags.
     pub fn worker_command(mut self, command: WorkerCommand) -> Self {
         self.worker_command = Some(command);
         self
@@ -847,7 +978,7 @@ impl SweepSupervisor {
 
     /// Attaches a content-addressed result store: points whose digest is
     /// already stored load instead of simulating, and fresh completions
-    /// are written back. Ignored for configurations
+    /// are written back. Ignored for a grid with a configuration
     /// [`store::cacheable`] refuses (trace capture).
     pub fn store(mut self, store: Arc<ResultStore>) -> Self {
         self.store = Some(store);
@@ -864,22 +995,44 @@ impl SweepSupervisor {
         self
     }
 
-    /// The sweep's content digest — the identity journals are written
-    /// under.
+    /// The grid's content digest, a hash of its points' digests in grid
+    /// order: the identity journals are written under.
     pub fn digest(&self) -> Digest {
-        store::sweep_digest(&self.base, &self.protocols, &self.clients, &self.seeds)
+        store::sweep_digest(&self.point_digests())
     }
 
-    /// Runs the whole grid with no journal.
+    /// Each point's digest, in grid order.
+    fn point_digests(&self) -> Vec<Digest> {
+        self.points.iter().map(store::point_digest).collect()
+    }
+
+    /// Runs the whole grid; outcomes come back in grid order.
+    pub fn run_grid(&self) -> SupervisedGrid {
+        self.run_inner(None, None, HashMap::new()).0
+    }
+
+    /// Runs the whole grid with no journal and folds it into a [`Sweep`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a grid from [`from_configs`](Self::from_configs).
     pub fn run(&self) -> SupervisedSweep {
-        self.run_inner(None, HashMap::new())
+        self.fold(self.run_inner(None, None, HashMap::new()))
     }
 
     /// Runs the grid, journalling every completed point to `path`
     /// (truncating any existing file).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a grid from [`from_configs`](Self::from_configs), whose
+    /// points have no labels for journal lines.
     pub fn run_with_journal(&self, path: &Path) -> Result<SupervisedSweep, RunError> {
-        let journal = RunJournal::create(path, &self.digest())?;
-        Ok(self.run_inner(Some(&journal), HashMap::new()))
+        // Journal lines carry axis labels: refuse a config list up front.
+        self.axes();
+        let digests = self.point_digests();
+        let journal = RunJournal::create(path, &store::sweep_digest(&digests))?;
+        Ok(self.fold(self.run_inner(Some(&digests), Some(&journal), HashMap::new())))
     }
 
     /// Resumes from an existing journal: completed points are restored from
@@ -889,68 +1042,112 @@ impl SweepSupervisor {
     /// `wall_clock_secs`, so the figure tables are byte-identical at any job
     /// count, and once every point completes the journal file itself is
     /// finalized to the uninterrupted run's exact bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a grid from [`from_configs`](Self::from_configs), whose
+    /// points have no labels for journal lines.
     pub fn resume_from(&self, path: &Path) -> Result<SupervisedSweep, RunError> {
-        let (journal, done) = RunJournal::resume(path, &self.digest())?;
-        Ok(self.run_inner(Some(&journal), done))
+        // Journal lines carry axis labels: refuse a config list up front.
+        self.axes();
+        let digests = self.point_digests();
+        let (journal, done) = RunJournal::resume(path, &store::sweep_digest(&digests))?;
+        Ok(self.fold(self.run_inner(Some(&digests), Some(&journal), done)))
     }
 
+    /// Folds grid outcomes into the sweep's cells, failures and skips.
+    fn fold(&self, (grid, journal_error): (SupervisedGrid, Option<RunError>)) -> SupervisedSweep {
+        let axes = self.axes();
+        let mut cells = Vec::new();
+        let mut failures = Vec::new();
+        let mut skipped = Vec::new();
+        for (outcome, &point) in grid.outcomes.into_iter().zip(&axes.labels) {
+            match outcome {
+                PointOutcome::Done(report) => cells.push(SweepCell {
+                    protocol: point.protocol,
+                    clients: point.clients,
+                    report,
+                }),
+                PointOutcome::Failed(error) => failures.push(PointFailure { point, error }),
+                PointOutcome::Skipped => skipped.push(point),
+            }
+        }
+        let mut sweep = Sweep::from_cells(cells, axes.protocols.clone(), axes.clients.clone());
+        sweep.replications = axes.seeds.len();
+        SupervisedSweep {
+            sweep,
+            failures,
+            skipped,
+            resumed_points: grid.resumed_points,
+            completed_points: grid.completed_points,
+            cache_hits: grid.cache_hits,
+            cache_misses: grid.cache_misses,
+            robustness: grid.robustness,
+            journal_error,
+        }
+    }
+
+    /// Runs the grid, restoring the points `done` holds; also returns the
+    /// journal finalization error, if any. `known` is each point's digest
+    /// when the caller has already computed them for a journal header.
     fn run_inner(
         &self,
+        known: Option<&[Digest]>,
         journal: Option<&RunJournal>,
         mut done: HashMap<String, ScenarioReport>,
-    ) -> SupervisedSweep {
-        let grid = canonical_grid(&self.protocols, &self.clients, &self.seeds);
+    ) -> (SupervisedGrid, Option<RunError>) {
+        let points = &self.points;
 
         // Reports cross the store, worker frames and the journal as codec
-        // payloads, which cannot carry traces: a tracing sweep uses none of
-        // the three, and its journal keeps only its header.
-        let encodable = store::cacheable(&self.base);
+        // payloads, which cannot carry traces: a grid with a tracing point
+        // uses none of the three, and its journal keeps only its header.
+        let encodable = points.iter().all(store::cacheable);
         let store = self.store.as_deref().filter(|_| encodable);
         let journal = journal.filter(|_| encodable);
-        let entry = |key: &String, p: &PointSpec, report: &ScenarioReport| {
-            JournalEntry::from_report(key.clone(), p.protocol, p.clients, p.seed, report)
-        };
 
-        // Phase 1, on the job threads: each point's config and digest, and
-        // a store lookup unless the journal already holds the point.
-        // Without a store, or with one that holds no records yet, this is
-        // only hashing and certain misses, not worth a thread.
+        // Phase 1, on the job threads: each point's digest, and a store
+        // lookup unless the journal already holds the point. Without a
+        // store, or with one that holds no records yet, this is only
+        // hashing and certain misses, not worth a thread.
         let jobs = if store.is_some_and(ResultStore::has_records) {
             self.supervisor.jobs
         } else {
             1
         };
-        let resolved = crate::parallel::run_indexed(jobs, grid.len(), |i| {
-            let point = grid[i];
-            let mut cfg = self.base;
-            cfg.num_clients = point.clients;
-            cfg.apply_protocol(point.protocol);
-            cfg.seed = point.seed;
-            let digest = store::point_digest(&cfg);
-            let key = digest.hex();
-            let stored = store
-                .filter(|_| !done.contains_key(&key))
-                .and_then(|store| store.get(&digest));
-            (cfg, digest, key, stored)
-        });
+        let (digests, stored): (Vec<Digest>, Vec<Option<ScenarioReport>>) =
+            crate::parallel::run_indexed(jobs, points.len(), |i| {
+                let digest = known.map_or_else(|| store::point_digest(&points[i]), |d| d[i]);
+                // Hex keys are built only when there is a journal to restore.
+                let journalled = !done.is_empty() && done.contains_key(&digest.hex());
+                let stored = store
+                    .filter(|_| !journalled)
+                    .and_then(|store| store.get(&digest));
+                (digest, stored)
+            })
+            .into_iter()
+            .unzip();
+        // Only axis grids are journalled, and their points carry labels.
+        let entry = |i: usize, report: &ScenarioReport| {
+            let p = self.axes().labels[i];
+            JournalEntry::from_report(digests[i].hex(), p.protocol, p.clients, p.seed, report)
+        };
 
-        // Then serially, in canonical order, so the counts and the journal
+        // Then serially, in grid order, so the counts and the journal
         // bytes are the same at any job count: restore journalled points,
         // and journal and count the store's answers.
-        let mut cfgs = Vec::with_capacity(grid.len());
-        let mut digests = Vec::with_capacity(grid.len());
-        let mut keys = Vec::with_capacity(grid.len());
-        let mut slots: Vec<Option<ScenarioReport>> = (0..grid.len()).map(|_| None).collect();
-        let mut fail_map: HashMap<usize, RunError> = HashMap::new();
+        let mut outcomes: Vec<Option<PointOutcome<ScenarioReport>>> =
+            (0..points.len()).map(|_| None).collect();
         let mut resumed_points = 0usize;
         let mut cache_hits = 0usize;
         let mut cache_misses = 0usize;
-        for (i, (cfg, digest, key, stored)) in resolved.into_iter().enumerate() {
-            cfgs.push(cfg);
-            digests.push(digest);
-            keys.push(key);
-            if let Some(report) = done.remove(&keys[i]) {
-                slots[i] = Some(report);
+        for (i, stored) in stored.into_iter().enumerate() {
+            let restored = if done.is_empty() {
+                None
+            } else {
+                done.remove(&digests[i].hex())
+            };
+            if let Some(report) = restored {
+                outcomes[i] = Some(PointOutcome::Done(report));
                 resumed_points += 1;
                 continue;
             }
@@ -963,21 +1160,20 @@ impl SweepSupervisor {
             };
             // A cache hit still earns its journal line, so a later resume
             // needs neither the store nor a re-run.
-            if let Some(journal) = journal {
-                if let Err(e) = journal.append(&entry(&keys[i], &grid[i], &report)) {
-                    fail_map.insert(i, e);
-                    continue;
-                }
+            if let Some(Err(e)) = journal.map(|journal| journal.append(&entry(i, &report))) {
+                outcomes[i] = Some(PointOutcome::Failed(e));
+                continue;
             }
             cache_hits += 1;
-            slots[i] = Some(report);
+            outcomes[i] = Some(PointOutcome::Done(report));
         }
 
         // Phase 2: dispatch what remains — to a worker fleet when one is
         // configured and worthwhile, to in-process threads otherwise.
-        let pending: Vec<usize> = (0..grid.len())
-            .filter(|i| slots[*i].is_none() && !fail_map.contains_key(i))
+        let pending: Vec<usize> = (0..points.len())
+            .filter(|&i| outcomes[i].is_none())
             .collect();
+        let fresh: Vec<ScenarioConfig> = pending.iter().map(|&i| points[i]).collect();
         let complete = |i: usize, report: &ScenarioReport| -> Result<(), RunError> {
             if let Some(store) = store {
                 // A failed write-back must not fail a completed point; the
@@ -985,7 +1181,7 @@ impl SweepSupervisor {
                 let _ = store.put(&digests[i], report);
             }
             if let Some(journal) = journal {
-                journal.append(&entry(&keys[i], &grid[i], report))?;
+                journal.append(&entry(i, report))?;
             }
             Ok(())
         };
@@ -1003,75 +1199,50 @@ impl SweepSupervisor {
             None => local.as_ref().map(|local| local as &dyn Fleet),
         }
         .filter(|_| encodable && !pending.is_empty());
-        let specs: Vec<PointSpec> = pending.iter().map(|&i| grid[i]).collect();
-        let (outcomes, counters) = workers::run_points(
+        let (fresh_outcomes, counters) = workers::run_points(
             fleet.unwrap_or(&InProcess),
             &self.supervisor,
-            &self.digest().hex(),
-            &specs,
-            |j, budget| run_point(&cfgs[pending[j]], budget),
+            &store::sweep_digest(&digests).hex(),
+            &fresh,
+            |j, budget| run_point(&fresh[j], budget),
             |j, report| complete(pending[j], report),
         );
         // A purely in-process run has no control plane to account for.
         let robustness = if fleet.is_some() { counters } else { RobustnessCounters::default() };
-
-        // Phase 3: merge everything back in canonical grid order.
-        let completed_points = outcomes
+        let completed_points = fresh_outcomes
             .iter()
             .filter(|o| matches!(o, PointOutcome::Done(_)))
             .count();
-        let mut skip_set = vec![false; grid.len()];
-        for (j, outcome) in outcomes.into_iter().enumerate() {
-            let i = pending[j];
-            match outcome {
-                PointOutcome::Done(report) => slots[i] = Some(report),
-                PointOutcome::Failed(error) => {
-                    fail_map.insert(i, error);
-                }
-                PointOutcome::Skipped => skip_set[i] = true,
-            }
+        for (i, outcome) in pending.into_iter().zip(fresh_outcomes) {
+            outcomes[i] = Some(outcome);
         }
-        let mut cells = Vec::new();
-        let mut failures = Vec::new();
-        let mut skipped = Vec::new();
-        for (i, &point) in grid.iter().enumerate() {
-            if let Some(error) = fail_map.remove(&i) {
-                failures.push(PointFailure { point, error });
-            } else if skip_set[i] {
-                skipped.push(point);
-            } else if let Some(report) = slots[i].take() {
-                cells.push(SweepCell {
-                    protocol: point.protocol,
-                    clients: point.clients,
-                    report,
-                });
-            }
-        }
+        let outcomes: Vec<PointOutcome<ScenarioReport>> = outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or(PointOutcome::Skipped))
+            .collect();
 
         // Every point landed: canonicalize the journal so its bytes match
         // an uninterrupted run's.
         let mut journal_error = None;
-        if let (Some(journal), true) = (journal, failures.is_empty() && skipped.is_empty()) {
-            let lines = cells
-                .iter()
-                .zip(grid.iter().zip(&keys))
-                .filter_map(|(cell, (point, key))| entry(key, point, &cell.report).to_line());
-            journal_error = journal.rewrite(lines).err();
+        if let Some(journal) = journal {
+            if outcomes.iter().all(|o| matches!(o, PointOutcome::Done(_))) {
+                let lines = outcomes.iter().enumerate().filter_map(|(i, o)| match o {
+                    PointOutcome::Done(report) => entry(i, report).to_line(),
+                    _ => None,
+                });
+                journal_error = journal.rewrite(lines).err();
+            }
         }
 
-        let mut sweep = Sweep::from_cells(cells, self.protocols.clone(), self.clients.clone());
-        sweep.replications = self.seeds.len();
-        SupervisedSweep {
-            sweep,
-            failures,
-            skipped,
+        let grid = SupervisedGrid {
+            outcomes,
             resumed_points,
             completed_points,
             cache_hits,
             cache_misses,
             robustness,
-            journal_error,
-        }
+        };
+        (grid, journal_error)
     }
 }
 

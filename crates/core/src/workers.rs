@@ -63,17 +63,20 @@
 //! SHA-256-derived checksum + UTF-8 payload). A pipe worker's first frame
 //! is `ready <schema-version>`; a schema mismatch (parent and worker built
 //! from different engine versions) aborts the handshake. The sweep then
-//! sends one `point <index> <protocol> <clients> <seed> <sim|-> <events|->
-//! <wall|->` frame per claimed grid point (the trailing triple is the
-//! watchdog budget, `-` = unlimited); the worker replies
+//! sends one frame per claimed grid point:
+//!
+//! ```text
+//! point <index> <sim|-> <events|-> <wall|->
+//! <config payload>
+//! ```
+//!
+//! The first line's triple is the watchdog budget (`-` = unlimited); the
+//! rest is the point's whole configuration in the exact config codec
+//! ([`codec::encode_config`]), so a worker needs no scenario flags and any
+//! grid of configurations can run on it. The worker replies
 //! `done <index>\n<codec payload>` or `fail <index> <kind>\n<message>`.
 //! `shutdown` or EOF ends the session. TCP workers first run the daemon's
 //! registration handshake and interleave `hb` frames.
-//!
-//! The scenario *base configuration* never crosses the pipe: the worker
-//! process re-parses the parent's own CLI argument tail (captured
-//! verbatim), so both sides build the identical base config by running the
-//! identical parser, and only the per-point coordinates travel as data.
 //!
 //! ## Determinism
 //!
@@ -96,7 +99,7 @@ use tcpburst_des::SimDuration;
 
 use crate::chaos::{ChaosSchedule, ChaosTransport, CHAOS_ENV, CHAOS_ID_ENV, HEARTBEAT_PAYLOAD};
 use crate::codec;
-use crate::config::{Protocol, ScenarioConfig};
+use crate::config::ScenarioConfig;
 use crate::daemon::ExecTuning;
 use crate::net_transport::{FrameError, FrameTransport, PipeTransport};
 use crate::parallel::effective_jobs;
@@ -138,35 +141,28 @@ fn parse_budget_field(token: &str) -> Option<Option<u64>> {
     }
 }
 
-pub(crate) fn point_frame(index: usize, point: &PointSpec, budget: &RunBudget) -> String {
+pub(crate) fn point_frame(index: usize, cfg: &ScenarioConfig, budget: &RunBudget) -> String {
     format!(
-        "point {index} {} {} {} {} {} {}",
-        point.protocol.cli_name(),
-        point.clients,
-        point.seed,
+        "point {index} {} {} {}\n{}",
         budget_field(budget.max_sim_time.map(|d| d.as_nanos())),
         budget_field(budget.max_events),
         budget_field(budget.max_wall.map(|w| w.as_nanos() as u64)),
+        codec::encode_config(cfg),
     )
 }
 
-/// Parses a `point ...` frame into its coordinates and budget.
-pub(crate) fn parse_point_frame(text: &str) -> Option<(usize, PointSpec, RunBudget)> {
-    let rest = text.strip_prefix("point ")?;
-    let mut tokens = rest.split_whitespace();
-    let index: usize = tokens.next()?.parse().ok()?;
-    let protocol: Protocol = tokens.next()?.parse().ok()?;
-    let clients: usize = tokens.next()?.parse().ok()?;
-    let seed: u64 = tokens.next()?.parse().ok()?;
-    let budget = RunBudget {
-        max_sim_time: parse_budget_field(tokens.next()?)?.map(SimDuration::from_nanos),
-        max_events: parse_budget_field(tokens.next()?)?,
-        max_wall: parse_budget_field(tokens.next()?)?.map(Duration::from_nanos),
-    };
-    if tokens.next().is_some() {
+/// Parses a `point ...` frame into its index, configuration and budget.
+pub(crate) fn parse_point_frame(text: &str) -> Option<(usize, ScenarioConfig, RunBudget)> {
+    let (head, payload) = text.strip_prefix("point ")?.split_once('\n')?;
+    let [index, sim, events, wall] = head.split_whitespace().collect::<Vec<_>>()[..] else {
         return None;
-    }
-    Some((index, PointSpec { protocol, clients, seed }, budget))
+    };
+    let budget = RunBudget {
+        max_sim_time: parse_budget_field(sim)?.map(SimDuration::from_nanos),
+        max_events: parse_budget_field(events)?,
+        max_wall: parse_budget_field(wall)?.map(Duration::from_nanos),
+    };
+    Some((index.parse().ok()?, codec::decode_config(payload)?, budget))
 }
 
 /// What a worker sent back for one point.
@@ -216,16 +212,12 @@ pub(crate) fn parse_reply(text: &str) -> Option<(usize, Reply)> {
 /// shutdown, 1 on a protocol or pipe error). When `TCPBURST_CHAOS` names a
 /// schedule for this worker, the transport is wrapped in the
 /// fault-injection layer ([`crate::chaos`]).
-///
-/// `base` is the scenario configuration rebuilt from the parent's CLI
-/// argument tail; each point frame overrides only its protocol, client
-/// count and seed.
-pub fn worker_main(base: &ScenarioConfig) -> i32 {
+pub fn worker_main() -> i32 {
     let (stdin, stdout) = (io::stdin(), io::stdout());
     let pipe = PipeTransport::new(stdin.lock(), stdout.lock(), "sweep");
     let end = with_chaos(pipe, |t| {
         match t.send_text(&format!("ready {ENGINE_SCHEMA_VERSION}")) {
-            Ok(()) => serve_points(t, base, None),
+            Ok(()) => serve_points(t, None),
             Err(_) => SessionEnd::Lost,
         }
     });
@@ -260,23 +252,18 @@ pub(crate) enum SessionEnd {
 /// this thread sends `hb` frames, so a long simulation never looks like a
 /// dead worker. Without one (pipes, which have no read deadlines) they
 /// compute inline.
-pub(crate) fn serve_points(
-    t: &mut dyn FrameTransport,
-    cfg: &ScenarioConfig,
-    heartbeat: Option<Duration>,
-) -> SessionEnd {
+pub(crate) fn serve_points(t: &mut dyn FrameTransport, heartbeat: Option<Duration>) -> SessionEnd {
     let crash_at: Option<usize> = std::env::var(CRASH_AT_ENV)
         .ok()
         .and_then(|v| v.parse().ok());
     let helper = heartbeat.map(|interval| {
         let (frames, inbox) = channel::<String>();
         let (replies_tx, replies) = channel();
-        let cfg = *cfg;
         // Detached, so a session lost mid-point can reconnect at once; the
         // helper finishes that point and exits when `frames` drops.
         std::thread::spawn(move || {
             for frame in inbox {
-                if replies_tx.send(handle_point(&cfg, &frame, crash_at)).is_err() {
+                if replies_tx.send(handle_point(&frame, crash_at)).is_err() {
                     return;
                 }
             }
@@ -301,7 +288,7 @@ pub(crate) fn serve_points(
             return SessionEnd::Done;
         }
         let reply = match &helper {
-            None => handle_point(cfg, &text, crash_at),
+            None => handle_point(&text, crash_at),
             Some((interval, frames, replies)) => {
                 if frames.send(text).is_err() {
                     return SessionEnd::Lost;
@@ -330,21 +317,13 @@ pub(crate) fn serve_points(
     }
 }
 
-pub(crate) fn handle_point(
-    base: &ScenarioConfig,
-    text: &str,
-    crash_at: Option<usize>,
-) -> Option<String> {
-    let (index, spec, budget) = parse_point_frame(text)?;
+pub(crate) fn handle_point(text: &str, crash_at: Option<usize>) -> Option<String> {
+    let (index, cfg, budget) = parse_point_frame(text)?;
     if crash_at == Some(index) {
         // The crash-isolation hook: die like a segfault would, with no
         // unwinding and no reply frame.
         std::process::abort();
     }
-    let mut cfg = *base;
-    cfg.num_clients = spec.clients;
-    cfg.apply_protocol(spec.protocol);
-    cfg.seed = spec.seed;
     Some(match crate::supervise::run_point(&cfg, &budget) {
         Ok(report) => match codec::encode(&report) {
             Some(payload) => format!("done {index}\n{payload}"),
@@ -420,9 +399,8 @@ impl std::fmt::Display for RobustnessCounters {
 // ---------------------------------------------------------------------------
 
 /// How to launch one worker process: a program plus its full argument
-/// vector. The sweep CLI uses its own binary with
-/// `["worker", <the parent's scenario flags...>]`; the bench example
-/// self-spawns with a private flag its `main` recognises.
+/// vector. The sweep CLI uses its own binary with `["worker"]`; the bench
+/// example self-spawns with a private flag its `main` recognises.
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
     /// The executable to spawn.
@@ -438,29 +416,6 @@ impl WorkerCommand {
             program: std::env::current_exe()?,
             args,
         })
-    }
-}
-
-/// One grid point's coordinates, as shipped to a worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointSpec {
-    /// Protocol of the point.
-    pub protocol: Protocol,
-    /// Client count of the point.
-    pub clients: usize,
-    /// Seed of the point.
-    pub seed: u64,
-}
-
-impl std::fmt::Display for PointSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} x {} clients (seed {})",
-            self.protocol.label(),
-            self.clients,
-            self.seed
-        )
     }
 }
 
@@ -600,7 +555,7 @@ impl Fleet for LocalFleet {
 // The scheduler
 // ---------------------------------------------------------------------------
 
-/// Runs `specs` on the workers `fleet` provides, under `sup`'s failure
+/// Runs `points` on the workers `fleet` provides, under `sup`'s failure
 /// policy, budget and retry bound; outcomes come back in point order with
 /// the run's robustness counters. `digest` names the sweep to workers that
 /// register for it.
@@ -615,7 +570,7 @@ pub(crate) fn run_points<F, G>(
     fleet: &dyn Fleet,
     sup: &Supervisor,
     digest: &str,
-    specs: &[PointSpec],
+    points: &[ScenarioConfig],
     fallback: G,
     on_done: F,
 ) -> (Vec<PointOutcome<ScenarioReport>>, RobustnessCounters)
@@ -627,14 +582,14 @@ where
     let (events, inbox) = channel();
     let ctx = RunCtx {
         digest,
-        specs,
+        points,
         sup,
         liveness: tuning.liveness,
         next: AtomicUsize::new(0),
         requeued: Mutex::new(Vec::new()),
-        retried: specs.iter().map(|_| AtomicU32::new(0)).collect(),
-        deaths: specs.iter().map(|_| AtomicU32::new(0)).collect(),
-        slots: specs.iter().map(|_| OnceLock::new()).collect(),
+        retried: points.iter().map(|_| AtomicU32::new(0)).collect(),
+        deaths: points.iter().map(|_| AtomicU32::new(0)).collect(),
+        slots: points.iter().map(|_| OnceLock::new()).collect(),
         resolved: AtomicUsize::new(0),
         abort: AtomicBool::new(false),
         counters: Mutex::default(),
@@ -676,7 +631,7 @@ where
         let mut epoch = 0u64;
         let mut armed = false;
         let mut degraded = false;
-        while ctx.resolved.load(Ordering::SeqCst) < specs.len() {
+        while ctx.resolved.load(Ordering::SeqCst) < points.len() {
             let event = match inbox.try_recv() {
                 Ok(event) => event,
                 Err(_) => {
@@ -743,7 +698,7 @@ where
 /// two per-point counts and the robustness counters.
 struct RunCtx<'a> {
     digest: &'a str,
-    specs: &'a [PointSpec],
+    points: &'a [ScenarioConfig],
     sup: &'a Supervisor,
     liveness: Duration,
     next: AtomicUsize,
@@ -781,7 +736,7 @@ impl RunCtx<'_> {
             return Some(j);
         }
         let j = self.next.fetch_add(1, Ordering::SeqCst);
-        (j < self.specs.len()).then_some(j)
+        (j < self.points.len()).then_some(j)
     }
 
     /// How many points claims could still take (none after an abort).
@@ -790,7 +745,10 @@ impl RunCtx<'_> {
             return 0;
         }
         let requeued = self.requeued.lock().map_or(0, |q| q.len());
-        self.specs.len().saturating_sub(self.next.load(Ordering::SeqCst)) + requeued
+        self.points
+            .len()
+            .saturating_sub(self.next.load(Ordering::SeqCst))
+            + requeued
     }
 
     /// The point's budget: the supervisor's, doubled once per budget retry
@@ -872,7 +830,7 @@ impl RunCtx<'_> {
         }
         // Only the last resolution and an abort change what the sweep's
         // thread does next, so only they wake it.
-        let last = self.resolved.fetch_add(1, Ordering::SeqCst) + 1 == self.specs.len();
+        let last = self.resolved.fetch_add(1, Ordering::SeqCst) + 1 == self.points.len();
         if last || self.abort.load(Ordering::SeqCst) {
             let _ = self.events.send(Event::Resolved);
         }
@@ -951,7 +909,7 @@ impl RunCtx<'_> {
     /// duplicates for points already resolved.
     fn exchange(&self, link: &mut dyn FrameTransport, j: usize) -> Result<Reply, FrameError> {
         let budget = self.budget_for(j);
-        link.send_text(&point_frame(j, &self.specs[j], &budget))?;
+        link.send_text(&point_frame(j, &self.points[j], &budget))?;
         // The hung-simulation deadline: the budget's wall limit plus headroom
         // for shipping. A worker may heartbeat forever; it may not *compute*
         // forever.
@@ -989,44 +947,40 @@ mod tests {
 
     #[test]
     fn point_frames_parse_back() {
-        let base = crate::ScenarioBuilder::paper().finish();
-        let spec = PointSpec {
-            protocol: Protocol::VegasRed,
-            clients: 25,
-            seed: 0x1CDC_2000,
-        };
+        let cfg = crate::ScenarioBuilder::paper()
+            .topology(|t| t.clients(25).buffer_pkts(30))
+            .transport(|t| t.protocol(crate::Protocol::VegasRed))
+            .instrumentation(|i| i.duration(SimDuration::from_millis(200)))
+            .finish();
         let budget = RunBudget {
             max_sim_time: Some(SimDuration::from_secs(3)),
             max_events: None,
             max_wall: Some(Duration::from_millis(250)),
         };
-        let frame = point_frame(7, &spec, &budget);
+        let frame = point_frame(7, &cfg, &budget);
         let (index, parsed, parsed_budget) = parse_point_frame(&frame).expect("parses");
         assert_eq!(index, 7);
-        assert_eq!(parsed, spec);
-        assert_eq!(parsed_budget.max_events, None);
-        assert_eq!(parsed_budget.max_wall, Some(Duration::from_millis(250)));
+        assert_eq!(format!("{parsed:?}"), format!("{cfg:?}"));
+        assert_eq!(parsed_budget, budget);
 
         // handle_point runs the (tiny) scenario and replies `done 7`.
-        let mut cfg = base;
-        cfg.duration = SimDuration::from_millis(200);
-        let reply = handle_point(&cfg, &frame, None).expect("parses");
+        let reply = handle_point(&frame, None).expect("parses");
         assert!(reply.starts_with("done 7\n") || reply.starts_with("fail 7 "));
 
-        assert!(handle_point(&cfg, "point", None).is_none());
-        assert!(handle_point(&cfg, "point 1 nosuch 5 0 - - -", None).is_none());
-        assert!(handle_point(&cfg, &format!("{frame} extra"), None).is_none());
+        assert!(handle_point("point", None).is_none());
+        assert!(handle_point("point 1 - - -\nnot a config\n", None).is_none());
+        assert!(handle_point(&frame.replacen("- ", "- - ", 1), None).is_none());
+        assert!(handle_point(&format!("{frame}extra\n"), None).is_none());
     }
 
     #[test]
     fn unlimited_budget_serializes_as_dashes() {
-        let spec = PointSpec {
-            protocol: Protocol::Udp,
-            clients: 5,
-            seed: 1,
-        };
-        let frame = point_frame(0, &spec, &RunBudget::UNLIMITED);
-        assert!(frame.ends_with("- - -"), "{frame}");
+        let frame = point_frame(
+            0,
+            &crate::ScenarioBuilder::paper().finish(),
+            &RunBudget::UNLIMITED,
+        );
+        assert!(frame.starts_with("point 0 - - -\n"), "{frame}");
     }
 
     #[test]
@@ -1154,16 +1108,11 @@ mod tests {
         let fleet = FakeFleet(Arc::new(script), AtomicUsize::new(0), Arc::default());
         let calls = || (0..n).map(|_| AtomicU32::new(0)).collect::<Vec<_>>();
         let (done_calls, local_calls) = (calls(), calls());
-        let spec = PointSpec {
-            protocol: Protocol::Reno,
-            clients: 3,
-            seed: 1,
-        };
         let (outcomes, counters) = run_points(
             &fleet,
             sup,
             "digest",
-            &vec![spec; n],
+            &vec![crate::ScenarioBuilder::paper().finish(); n],
             |j, _| {
                 local_calls[j].fetch_add(1, Ordering::SeqCst);
                 Ok(report(j))
@@ -1283,8 +1232,8 @@ mod tests {
             Ok(report(j))
         };
         let sup = Supervisor { jobs: 2, ..Supervisor::default() };
-        let spec = PointSpec { protocol: Protocol::Reno, clients: 3, seed: 1 };
-        let (outcomes, counters) = run_points(&DeadFleet, &sup, "", &[spec; 2], meet, |_, _| Ok(()));
+        let points = [crate::ScenarioBuilder::paper().finish(); 2];
+        let (outcomes, counters) = run_points(&DeadFleet, &sup, "", &points, meet, |_, _| Ok(()));
         assert!(all_done(&outcomes), "{outcomes:?}");
         assert_eq!(counters.in_process_points, 2);
     }
@@ -1310,19 +1259,14 @@ mod tests {
                 retries: 5,
                 ..Supervisor::default()
             };
-            let spec = PointSpec {
-                protocol: Protocol::Reno,
-                clients: 3,
-                seed: 1,
-            };
-            let specs = [spec; 8];
+            let points = [crate::ScenarioBuilder::paper().finish(); 8];
             let on_done = |j: usize, _: &ScenarioReport| {
                 if j == 2 {
                     panic!("deliberate store failure");
                 }
                 Ok(())
             };
-            let (outcomes, _) = run_points(&InProcess, &sup, "", &specs, fallback, on_done);
+            let (outcomes, _) = run_points(&InProcess, &sup, "", &points, fallback, on_done);
             let calls: Vec<u32> = calls.into_iter().map(AtomicU32::into_inner).collect();
             let _ = tx.send((outcomes, calls));
         });

@@ -4,14 +4,13 @@
 //! finalized journal byte-identical to an uninterrupted serial run — for
 //! the pipe-worker pool and for the TCP sweep service alike.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+use std::path::Path;
+use std::process::{Child, Output};
 
 use proptest::prelude::*;
 
 mod common;
-use common::{tcpburst, temp_dir, wait_bounded, SWEEP};
+use common::{spawn_serve, spawn_worker, submit, tcpburst, temp_dir, wait_bounded, SWEEP};
 
 /// Runs the baseline: serial in-process sweep with a finalized journal.
 fn serial_baseline(dir: &Path) -> (Output, Vec<u8>) {
@@ -76,61 +75,8 @@ proptest! {
 
 /// Spawns `serve --once` on an ephemeral loopback port and reports the
 /// bound address from its stderr banner.
-fn spawn_daemon(dir: &PathBuf, extra: &[&str]) -> (Child, String) {
+fn spawn_daemon(dir: &Path, extra: &[&str]) -> (Child, String) {
     spawn_serve(dir, &[&["--once"], extra].concat())
-}
-
-/// Spawns `serve` with `args` on an ephemeral loopback port and reports
-/// the bound address from its stderr banner.
-fn spawn_serve(dir: &PathBuf, args: &[&str]) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
-    cmd.args(["serve", "--listen", "127.0.0.1:0"])
-        .args(args)
-        .env("TCPBURST_CACHE", dir)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped());
-    let mut child = cmd.spawn().expect("daemon spawns");
-    let stderr = child.stderr.take().expect("stderr piped");
-    let mut lines = BufReader::new(stderr).lines();
-    let banner = lines
-        .next()
-        .expect("daemon prints a banner")
-        .expect("banner is readable");
-    let addr = banner
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-        .to_string();
-    // Keep draining the daemon's stderr so it can never block on a full
-    // pipe.
-    std::thread::spawn(move || for _ in lines {});
-    (child, addr)
-}
-
-fn spawn_worker(dir: &PathBuf, addr: &str, envs: &[(&str, &str)], extra: &[&str]) -> Child {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
-    cmd.args(["worker", "--connect", addr])
-        .args(extra)
-        .env("TCPBURST_CACHE", dir)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.spawn().expect("worker spawns")
-}
-
-fn submit(dir: &PathBuf, addr: &str) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
-    cmd.args(["submit", "--connect", addr])
-        .args(SWEEP)
-        .env("TCPBURST_CACHE", dir)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    let child = cmd.spawn().expect("submit spawns");
-    wait_bounded(child, 120)
 }
 
 /// Two remote TCP workers reproduce the serial tables byte-for-byte.
@@ -142,7 +88,7 @@ fn loopback_tcp_workers_match_serial_output() {
     let (daemon, addr) = spawn_daemon(&dir, &[]);
     let w1 = spawn_worker(&dir, &addr, &[], &[]);
     let w2 = spawn_worker(&dir, &addr, &[], &[]);
-    let result = submit(&dir, &addr);
+    let result = submit(&dir, &addr, SWEEP);
 
     let _ = wait_bounded(daemon, 120);
     for w in [w1, w2] {
@@ -173,7 +119,7 @@ fn killing_a_remote_worker_mid_sweep_loses_nothing() {
         &["--max-reconnects", "0"],
     );
     let survivor = spawn_worker(&dir, &addr, &[], &[]);
-    let result = submit(&dir, &addr);
+    let result = submit(&dir, &addr, SWEEP);
 
     let _ = wait_bounded(daemon, 120);
     for w in [victim, survivor] {
@@ -208,7 +154,7 @@ fn daemon_degrades_to_in_process_when_all_workers_vanish() {
         &[("TCPBURST_CHAOS", "kill@4")],
         &["--max-reconnects", "0"],
     );
-    let result = submit(&dir, &addr);
+    let result = submit(&dir, &addr, SWEEP);
 
     let _ = wait_bounded(daemon, 120);
     let _ = wait_bounded(victim, 60);
@@ -236,7 +182,7 @@ fn a_tcp_worker_exits_cleanly_after_its_job() {
     // its own, not a side effect of the daemon closing the socket.
     let (mut daemon, addr) = spawn_serve(&dir, &[]);
     let worker = spawn_worker(&dir, &addr, &[], &[]);
-    let result = submit(&dir, &addr);
+    let result = submit(&dir, &addr, SWEEP);
     assert!(result.status.success(), "remote sweep fails: {result:?}");
     let exit = wait_bounded(worker, 10);
     let _ = daemon.kill();

@@ -1,7 +1,7 @@
 //! Helpers shared by the integration tests; each test file uses a subset.
 #![allow(dead_code)]
 
-use std::io::Read;
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,6 +51,61 @@ pub fn tcpburst(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Output {
         cmd.env(k, v);
     }
     let child = cmd.spawn().expect("tcpburst binary spawns");
+    wait_bounded(child, 120)
+}
+
+/// Spawns `serve` with `args` on an ephemeral loopback port and reports
+/// the bound address from its stderr banner.
+pub fn spawn_serve(dir: &Path, args: &[&str]) -> (Child, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
+    cmd.args(["serve", "--listen", "127.0.0.1:0"])
+        .args(args)
+        .env("TCPBURST_CACHE", dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("daemon spawns");
+    let stderr = child.stderr.take().expect("stderr piped");
+    let mut lines = BufReader::new(stderr).lines();
+    let banner = lines
+        .next()
+        .expect("daemon prints a banner")
+        .expect("banner is readable");
+    let addr = banner
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .to_string();
+    // Keep draining the daemon's stderr so it can never block on a full
+    // pipe.
+    std::thread::spawn(move || for _ in lines {});
+    (child, addr)
+}
+
+/// Spawns `worker --connect addr` with extra flags and environment.
+pub fn spawn_worker(dir: &Path, addr: &str, envs: &[(&str, &str)], extra: &[&str]) -> Child {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
+    cmd.args(["worker", "--connect", addr])
+        .args(extra)
+        .env("TCPBURST_CACHE", dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null());
+    for (k, v) in envs {
+        cmd.env(k, v);
+    }
+    cmd.spawn().expect("worker spawns")
+}
+
+/// Submits the job `args` to the daemon at `addr` and waits for it.
+pub fn submit(dir: &Path, addr: &str, args: &[&str]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tcpburst"));
+    cmd.args(["submit", "--connect", addr])
+        .args(args)
+        .env("TCPBURST_CACHE", dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    let child = cmd.spawn().expect("submit spawns");
     wait_bounded(child, 120)
 }
 

@@ -136,21 +136,26 @@ fn resume_rejects_a_journal_from_a_different_sweep() {
             .expect_err("mismatched sweep key is rejected");
         assert_eq!(err.kind(), "io");
     }
-    // Earlier builds keyed a journal by a digest without the seed axis;
-    // such a header names another sweep and is refused, untouched.
-    let seedless = Digest::of(
-        format!("tcpburst-sweep-v{ENGINE_SCHEMA_VERSION}|{cfg_a:?}|{protocols:?}|{clients:?}")
-            .as_bytes(),
-    );
+    // Earlier builds keyed a journal by a digest of the base config and
+    // its axes, first without and then with the seed axis; such a header
+    // names another sweep and is refused, untouched.
     let raw = fs::read_to_string(&path).expect("journal exists");
-    let old = raw.replace(&sweep_a.digest().hex(), &seedless.hex());
-    assert_ne!(old, raw, "the header carries the sweep digest");
-    fs::write(&path, &old).unwrap();
-    let err = sweep_a
-        .resume_from(&path)
-        .expect_err("a seedless journal is rejected");
-    assert!(err.to_string().contains("different sweep"), "{err}");
-    assert_eq!(fs::read_to_string(&path).unwrap(), old, "left untouched");
+    for axes in [
+        format!("{protocols:?}|{clients:?}"),
+        format!("{protocols:?}|{clients:?}|{:?}", [7u64]),
+    ] {
+        let earlier = Digest::of(
+            format!("tcpburst-sweep-v{ENGINE_SCHEMA_VERSION}|{cfg_a:?}|{axes}").as_bytes(),
+        );
+        let old = raw.replace(&sweep_a.digest().hex(), &earlier.hex());
+        assert_ne!(old, raw, "the header carries the sweep digest");
+        fs::write(&path, &old).unwrap();
+        let err = sweep_a
+            .resume_from(&path)
+            .expect_err("an earlier build's journal is rejected");
+        assert!(err.to_string().contains("different sweep"), "{err}");
+        assert_eq!(fs::read_to_string(&path).unwrap(), old, "left untouched");
+    }
     let _ = fs::remove_file(&path);
 }
 

@@ -7,11 +7,12 @@
 use std::fs;
 use std::io::Write;
 use std::ops::Range;
+use std::path::Path;
 use std::sync::{Arc, Barrier};
 
 use tcpburst_core::{
-    codec, point_digest, run_point_cached, Digest, Protocol, ResultStore, RunBudget, Scenario,
-    ScenarioBuilder, ScenarioConfig, SweepSupervisor, ENGINE_SCHEMA_VERSION,
+    codec, point_digest, Digest, Protocol, ResultStore, Scenario, ScenarioBuilder, ScenarioConfig,
+    ScenarioReport, SweepSupervisor, ENGINE_SCHEMA_VERSION,
 };
 
 mod common;
@@ -23,6 +24,20 @@ fn small_cfg(seed: u64) -> ScenarioConfig {
         .transport(|t| t.protocol(Protocol::Reno))
         .instrumentation(|i| i.secs(2).seed(seed))
         .finish()
+}
+
+/// Opens the store at `root`, shared the way a grid takes it.
+fn open(root: &Path) -> Arc<ResultStore> {
+    Arc::new(ResultStore::open(root).expect("the store opens"))
+}
+
+/// Runs `cfg` as a one-point grid reading and writing `store`: the path
+/// `sweep` and `replicate` take.
+fn run_cached(cfg: &ScenarioConfig, store: &Arc<ResultStore>) -> ScenarioReport {
+    let grid = SweepSupervisor::from_configs(&[*cfg])
+        .store(Arc::clone(store))
+        .run_grid();
+    grid.reports().expect("the point completes").remove(0)
 }
 
 /// The byte range of `cfg`'s first record inside the pack bytes `pack`,
@@ -49,15 +64,13 @@ fn record_span(pack: &[u8], cfg: &ScenarioConfig) -> Range<usize> {
 fn warm_hit_is_bit_identical_to_cold_run() {
     let root = temp_path("store");
     let cfg = small_cfg(11);
-    let store = ResultStore::open(&root).expect("temp store is creatable");
+    let store = open(&root);
 
-    let cold = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("small scenario runs");
+    let cold = run_cached(&cfg, &store);
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses, stats.writes), (0, 1, 1));
 
-    let warm = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("cached scenario loads");
+    let warm = run_cached(&cfg, &store);
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 1));
 
@@ -75,13 +88,12 @@ fn warm_hit_is_bit_identical_to_cold_run() {
 #[test]
 fn has_records_tracks_whether_the_pack_holds_anything() {
     let root = temp_path("store");
-    let store = ResultStore::open(&root).expect("temp store is creatable");
+    let store = open(&root);
     assert!(!store.has_records(), "a new store has no pack");
     fs::create_dir_all(&root).expect("root is creatable");
     fs::write(store.pack_path(), b"").expect("pack is writable");
     assert!(!store.has_records(), "an empty pack holds nothing");
-    run_point_cached(&small_cfg(13), &RunBudget::UNLIMITED, Some(&store))
-        .expect("small scenario runs");
+    run_cached(&small_cfg(13), &store);
     assert!(store.has_records());
     let _ = fs::remove_dir_all(&root);
 }
@@ -90,9 +102,8 @@ fn has_records_tracks_whether_the_pack_holds_anything() {
 fn poisoned_entry_is_detected_and_recomputed() {
     let root = temp_path("store");
     let cfg = small_cfg(23);
-    let store = ResultStore::open(&root).expect("temp store is creatable");
-    let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("small scenario runs");
+    let store = open(&root);
+    let fresh = run_cached(&cfg, &store);
     let fresh_bytes = canonical_bytes(&fresh);
 
     // Flip one byte deep in the payload. The header checksum no longer
@@ -103,9 +114,8 @@ fn poisoned_entry_is_detected_and_recomputed() {
     raw[span.start + span.len() / 2] ^= 0x01;
     fs::write(&path, &raw).expect("pack is rewritable");
 
-    let store = ResultStore::open(&root).expect("store reopens");
-    let recomputed = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("poisoned entry is recomputed");
+    let store = open(&root);
+    let recomputed = run_cached(&cfg, &store);
     let stats = store.stats();
     assert_eq!(stats.hits, 0, "a poisoned entry must never count as a hit");
     assert_eq!(stats.corrupt, 1);
@@ -114,9 +124,8 @@ fn poisoned_entry_is_detected_and_recomputed() {
 
     // The appended record wins over the poisoned one: the next handle's
     // lookup is a clean hit.
-    let store = ResultStore::open(&root).expect("store reopens");
-    run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("healed entry loads");
+    let store = open(&root);
+    run_cached(&cfg, &store);
     assert_eq!(store.stats().hits, 1);
 
     let _ = fs::remove_dir_all(&root);
@@ -136,9 +145,8 @@ fn schema_3_entries_are_stale_and_never_reused() {
     for (stale, seed) in [(3u32, 41u64), (4, 43), (5, 47), (6, 53)] {
         let root = temp_path("store");
         let cfg = small_cfg(seed);
-        let store = ResultStore::open(&root).expect("temp store is creatable");
-        let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-            .expect("small scenario runs");
+        let store = open(&root);
+        let fresh = run_cached(&cfg, &store);
         let fresh_bytes = canonical_bytes(&fresh);
         let path = store.pack_path();
         assert!(path.ends_with("results-v7.pack"), "one pack per schema");
@@ -162,9 +170,8 @@ fn schema_3_entries_are_stale_and_never_reused() {
         );
         fs::write(&path, &stale_pack).unwrap();
 
-        let store = ResultStore::open(&root).expect("store reopens");
-        let recomputed = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-            .expect("stale record is recomputed");
+        let store = open(&root);
+        let recomputed = run_cached(&cfg, &store);
         let stats = store.stats();
         assert_eq!(
             stats.hits, 0,
@@ -190,9 +197,8 @@ fn schema_3_entries_are_stale_and_never_reused() {
 fn truncated_entry_is_detected_and_recomputed() {
     let root = temp_path("store");
     let cfg = small_cfg(37);
-    let store = ResultStore::open(&root).expect("temp store is creatable");
-    let fresh = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("small scenario runs");
+    let store = open(&root);
+    let fresh = run_cached(&cfg, &store);
     let fresh_bytes = canonical_bytes(&fresh);
     let path = store.pack_path();
     let raw = fs::read(&path).expect("pack exists");
@@ -202,9 +208,8 @@ fn truncated_entry_is_detected_and_recomputed() {
     // subtlest case), a mid-payload cut, and a header-only remnant.
     for keep in [raw.len() - 1, raw.len() / 2, 16] {
         fs::write(&path, &raw[..keep]).expect("pack is rewritable");
-        let store = ResultStore::open(&root).expect("store reopens");
-        let recomputed = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-            .expect("truncated record is recomputed");
+        let store = open(&root);
+        let recomputed = run_cached(&cfg, &store);
         let stats = store.stats();
         assert_eq!(stats.hits, 0, "truncated at {keep} bytes still hit");
         assert_eq!(stats.corrupt, 1, "truncated at {keep} bytes not flagged");
@@ -213,7 +218,7 @@ fn truncated_entry_is_detected_and_recomputed() {
 
         // The recomputed record, appended behind the cut, is found by a
         // fresh handle.
-        let store = ResultStore::open(&root).expect("store reopens");
+        let store = open(&root);
         let served = store
             .get(&point_digest(&cfg))
             .expect("the record appended after the cut is served");
@@ -228,20 +233,19 @@ fn truncated_entry_is_detected_and_recomputed() {
 fn a_torn_record_does_not_hide_a_later_one() {
     let root = temp_path("store");
     let (torn, later) = (small_cfg(51), small_cfg(53));
-    let store = ResultStore::open(&root).expect("temp store is creatable");
-    run_point_cached(&torn, &RunBudget::UNLIMITED, Some(&store)).expect("small scenario runs");
+    let store = open(&root);
+    run_cached(&torn, &store);
     let path = store.pack_path();
     let raw = fs::read(&path).expect("pack exists");
     fs::write(&path, &raw[..raw.len() / 2]).expect("pack is rewritable");
 
     // The torn record's index line claims more bytes than follow it, so
     // the next record starts inside its claimed span.
-    let store = ResultStore::open(&root).expect("store reopens");
-    let report = run_point_cached(&later, &RunBudget::UNLIMITED, Some(&store))
-        .expect("small scenario runs");
+    let store = open(&root);
+    let report = run_cached(&later, &store);
     assert_eq!(store.stats().writes, 1);
 
-    let store = ResultStore::open(&root).expect("store reopens");
+    let store = open(&root);
     let served = store
         .get(&point_digest(&later))
         .expect("the later record is indexed behind the torn one");
@@ -269,8 +273,8 @@ fn append(path: &std::path::Path, bytes: &[u8]) {
 fn a_torn_copy_does_not_replace_a_good_record() {
     let root = temp_path("store");
     let (cfg, later) = (small_cfg(57), small_cfg(59));
-    let store = ResultStore::open(&root).expect("temp store is creatable");
-    let report = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store)).unwrap();
+    let store = open(&root);
+    let report = run_cached(&cfg, &store);
     let raw = fs::read(store.pack_path()).expect("pack exists");
     append(&store.pack_path(), &raw[..raw.len() / 2]);
     let torn_line = format!(
@@ -281,15 +285,15 @@ fn a_torn_copy_does_not_replace_a_good_record() {
     );
     append(&store.index_path(), &torn_line.as_bytes()[..torn_line.len() / 2]);
 
-    let store = ResultStore::open(&root).expect("store reopens");
+    let store = open(&root);
     let served = store
         .get(&point_digest(&cfg))
         .expect("the good record is still served");
     assert_eq!(canonical_bytes(&served), canonical_bytes(&report));
     assert_eq!(store.stats().corrupt, 0);
 
-    let later_report = run_point_cached(&later, &RunBudget::UNLIMITED, Some(&store)).unwrap();
-    let store = ResultStore::open(&root).expect("store reopens");
+    let later_report = run_cached(&later, &store);
+    let store = open(&root);
     let served = store
         .get(&point_digest(&later))
         .expect("the index line appended after the torn one is read");
@@ -308,14 +312,14 @@ fn a_store_deleted_or_emptied_under_a_handle_recovers() {
     let root = temp_path("store");
     let cfgs = [small_cfg(79), small_cfg(83), small_cfg(89)];
     let reports: Vec<_> = cfgs.iter().map(Scenario::run).collect();
-    let store = ResultStore::open(&root).expect("temp store is creatable");
+    let store = open(&root);
     assert!(store.put(&point_digest(&cfgs[0]), &reports[0]).unwrap());
     fs::remove_dir_all(&root).unwrap();
 
     // The next put sees its files are gone, recreates the root and starts
     // a new pack, which other handles read.
     assert!(store.put(&point_digest(&cfgs[1]), &reports[1]).unwrap());
-    let other = ResultStore::open(&root).expect("the root was recreated");
+    let other = open(&root);
     let served = other
         .get(&point_digest(&cfgs[1]))
         .expect("the put after the deletion landed in the new pack");
@@ -346,12 +350,12 @@ fn the_latest_record_of_a_point_wins() {
     let (first, second) = (Scenario::run(&cfg), Scenario::run(&other));
     let mut rerun = first.clone();
     rerun.wall_clock_secs += 1.0;
-    let store = ResultStore::open(&root).expect("temp store is creatable");
+    let store = open(&root);
     assert!(store.put(&point_digest(&cfg), &first).unwrap());
     assert!(store.put(&point_digest(&other), &second).unwrap());
     assert!(store.put(&point_digest(&cfg), &rerun).unwrap());
 
-    let store = ResultStore::open(&root).expect("store reopens");
+    let store = open(&root);
     let served = store.get(&point_digest(&cfg)).expect("the point is stored");
     assert_eq!(served.wall_clock_secs, rerun.wall_clock_secs);
     let served = store.get(&point_digest(&other)).expect("older lines are read too");
@@ -370,13 +374,13 @@ fn the_latest_record_of_a_point_wins() {
 fn an_index_line_claiming_too_much_is_corrupt() {
     let root = temp_path("store");
     let cfg = small_cfg(103);
-    let store = ResultStore::open(&root).expect("temp store is creatable");
-    let report = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store)).unwrap();
+    let store = open(&root);
+    let report = run_cached(&cfg, &store);
     let line = format!("{} {:016x} {:016x}\n", point_digest(&cfg).hex(), 1, u64::MAX);
     append(&store.index_path(), line.as_bytes());
 
-    let store = ResultStore::open(&root).expect("store reopens");
-    let recomputed = run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store)).unwrap();
+    let store = open(&root);
+    let recomputed = run_cached(&cfg, &store);
     let stats = store.stats();
     assert_eq!((stats.hits, stats.corrupt, stats.writes), (0, 1, 1));
     assert_eq!(canonical_bytes(&recomputed), canonical_bytes(&report));
@@ -388,9 +392,9 @@ fn an_index_line_claiming_too_much_is_corrupt() {
 fn a_handle_finds_records_another_handle_appended_after_its_scan() {
     let root = temp_path("store");
     let (first, second) = (small_cfg(61), small_cfg(67));
-    let a = ResultStore::open(&root).expect("temp store is creatable");
-    let b = ResultStore::open(&root).expect("second handle opens");
-    let first_report = run_point_cached(&first, &RunBudget::UNLIMITED, Some(&a)).unwrap();
+    let a = open(&root);
+    let b = open(&root);
+    let first_report = run_cached(&first, &a);
     let second_report = Scenario::run(&second);
 
     // B's first lookup scans the pack as it stands: one record.
@@ -444,7 +448,7 @@ fn concurrent_puts_on_one_handle_all_land_intact() {
     });
     assert_eq!(store.stats().writes, (THREADS * PUTS) as u64);
 
-    let fresh = ResultStore::open(&root).expect("store reopens");
+    let fresh = open(&root);
     for (digest, payload) in &cases {
         let served = fresh.get(digest).expect("every put is served");
         assert_eq!(&codec::encode(&served).unwrap(), payload);
@@ -487,12 +491,10 @@ fn traced_configurations_bypass_the_store() {
         .topology(|t| t.clients(3))
         .instrumentation(|i| i.secs(1).seed(5).trace_cwnd(true))
         .finish();
-    let store = ResultStore::open(&root).expect("temp store is creatable");
+    let store = open(&root);
 
-    run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("traced scenario runs");
-    run_point_cached(&cfg, &RunBudget::UNLIMITED, Some(&store))
-        .expect("traced scenario runs again");
+    run_cached(&cfg, &store);
+    run_cached(&cfg, &store);
     let stats = store.stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.writes),

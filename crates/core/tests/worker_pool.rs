@@ -6,8 +6,17 @@
 use std::io::BufReader;
 use std::process::{Command, Stdio};
 
+use tcpburst_core::{
+    GatewayKind, Protocol, ScenarioBuilder, ScenarioConfig, SourceKind, SweepSupervisor,
+    WorkerCommand,
+};
+use tcpburst_des::SimDuration;
+use tcpburst_transport::VegasParams;
+
 mod common;
-use common::{tcpburst, temp_dir, SWEEP};
+use common::{
+    canonical_bytes, spawn_serve, spawn_worker, submit, tcpburst, temp_dir, wait_bounded, SWEEP,
+};
 
 #[test]
 fn worker_processes_match_in_process_output_byte_for_byte() {
@@ -159,6 +168,104 @@ fn a_pipe_worker_says_ready_then_exits_cleanly_on_eof() {
     drop(pipe);
     let status = child.wait().expect("worker reaped");
     assert_eq!(status.code(), Some(0), "EOF on stdin is a clean shutdown");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A grid over knobs that are not `(protocol, clients, seed)` — buffer,
+/// Vegas (α, β), RED `max_p`, c.o.v. bin width, source law and an
+/// impairment schedule — runs on two `tcpburst worker` processes, which
+/// get each point's whole configuration in its frame, and returns reports
+/// codec-identical to the in-process run's.
+#[test]
+fn a_config_grid_runs_identically_on_worker_processes() {
+    let point = |protocol: Protocol| {
+        ScenarioBuilder::paper()
+            .topology(|t| t.clients(6))
+            .transport(|t| t.protocol(protocol))
+            .instrumentation(|i| i.secs(2).seed(11))
+    };
+    let mut red = point(Protocol::RenoRed).finish();
+    red.red_max_p = 0.35;
+    let configs: Vec<ScenarioConfig> = vec![
+        point(Protocol::Reno)
+            .topology(|t| t.buffer_pkts(7))
+            .finish(),
+        point(Protocol::Vegas)
+            .transport(|t| {
+                t.vegas(VegasParams {
+                    alpha: 2.0,
+                    beta: 5.0,
+                    gamma: 1.0,
+                })
+            })
+            .finish(),
+        red,
+        point(Protocol::Reno)
+            .instrumentation(|i| i.cov_bin(Some(SimDuration::from_millis(11))))
+            .finish(),
+        point(Protocol::Udp)
+            .workload(|w| w.source(SourceKind::Cbr { rate: 80.0 }))
+            .finish(),
+        point(Protocol::Reno)
+            .impairments(|i| {
+                i.spec("flap:200ms/700ms,corrupt:1e-4")
+                    .expect("a valid spec")
+            })
+            .topology(|t| t.gateway(GatewayKind::AdaptiveRed))
+            .finish(),
+    ];
+    let in_process = SweepSupervisor::from_configs(&configs).jobs(1).run_grid();
+    let command = WorkerCommand {
+        program: env!("CARGO_BIN_EXE_tcpburst").into(),
+        args: vec!["worker".into()],
+    };
+    let forked = SweepSupervisor::from_configs(&configs)
+        .workers(2)
+        .worker_command(command)
+        .run_grid();
+    assert_eq!(
+        forked.robustness.in_process_points, 0,
+        "the workers ran every point"
+    );
+    let bytes = |grid: tcpburst_core::SupervisedGrid| -> Vec<String> {
+        let reports = grid.reports().expect("every point completes");
+        reports.iter().map(canonical_bytes).collect()
+    };
+    assert_eq!(bytes(in_process), bytes(forked));
+}
+
+/// `serve` runs `replicate` jobs too: one remote worker prints the local
+/// `replicate` output byte-for-byte.
+#[test]
+fn served_replicate_matches_the_local_run() {
+    let dir = temp_dir("workers");
+    let job = [
+        "replicate",
+        "--clients",
+        "5",
+        "--secs",
+        "1",
+        "--seeds",
+        "2",
+        "--no-cache",
+    ];
+    let local = tcpburst(&dir, &job, &[]);
+    assert!(local.status.success(), "local replicate fails: {local:?}");
+
+    let (daemon, addr) = spawn_serve(&dir, &["--once"]);
+    let worker = spawn_worker(&dir, &addr, &[], &[]);
+    let served = submit(&dir, &addr, &job);
+    let _ = wait_bounded(daemon, 120);
+    let _ = wait_bounded(worker, 60);
+    assert!(
+        served.status.success(),
+        "served replicate fails: {served:?}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&local.stdout),
+        String::from_utf8_lossy(&served.stdout)
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

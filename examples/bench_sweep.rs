@@ -37,15 +37,6 @@ use tcpburst_des::SimDuration;
 const CLIENTS: [usize; 6] = [5, 15, 25, 35, 39, 45];
 const SEED: u64 = 0x1CDC_2000;
 
-/// The grid's shared knobs. The `--bench-worker` re-execution must build
-/// the exact same base the parent sweeps over, so this is the single
-/// source of truth for both sides.
-fn base_cfg() -> ScenarioConfig {
-    ScenarioBuilder::paper()
-        .instrumentation(|i| i.duration(SimDuration::from_secs(10)).seed(SEED))
-        .finish()
-}
-
 /// One timed in-process sweep over the Figure 2 grid.
 fn timed_sweep(base: &ScenarioConfig, jobs: usize) -> (Sweep, f64) {
     let start = Instant::now();
@@ -68,10 +59,12 @@ fn main() {
     // serve grid points to the parent over stdin/stdout, exactly like the
     // hidden `tcpburst worker` subcommand.
     if std::env::args().nth(1).as_deref() == Some("--bench-worker") {
-        std::process::exit(worker_main(&base_cfg()));
+        std::process::exit(worker_main());
     }
 
-    let base = base_cfg();
+    let base = ScenarioBuilder::paper()
+        .instrumentation(|i| i.duration(SimDuration::from_secs(10)).seed(SEED))
+        .finish();
     let max_jobs = available_jobs();
     let thread_counts = counts(max_jobs);
     println!("benchmarking Figure 2 grid at jobs ∈ {thread_counts:?}");

@@ -28,7 +28,7 @@
 
 use std::env;
 
-use tcpburst_core::{run_indexed, Scenario, ScenarioBuilder, ScenarioReport, TopoKind};
+use tcpburst_core::{ScenarioBuilder, ScenarioReport, SweepSupervisor, TopoKind};
 use tcpburst_des::SimDuration;
 
 /// Confirmation window: one c.o.v. bin is one round-trip propagation delay
@@ -115,14 +115,20 @@ fn main() {
 
     // Same measurement, serial and parallel: per-hop instrumentation is a
     // serial-engine feature, so parallelism here is across the seed
-    // replicas — the onset tables must still agree exactly.
-    let serial: Vec<Vec<Option<f64>>> = seeds
-        .iter()
-        .map(|&s| onsets(&Scenario::run(&cfg_for(s)), t_impair))
-        .collect();
-    let pooled: Vec<Vec<Option<f64>>> = run_indexed(jobs, seeds.len(), |i| {
-        onsets(&Scenario::run(&cfg_for(seeds[i])), t_impair)
-    });
+    // replicas — the onset tables must still agree exactly. Hop traces
+    // cannot cross the codec, so the grid stays in-process and out of the
+    // store.
+    let configs: Vec<_> = seeds.iter().map(|&s| cfg_for(s)).collect();
+    let onset_tables = |jobs: usize| -> Vec<Vec<Option<f64>>> {
+        let reports = SweepSupervisor::from_configs(&configs)
+            .jobs(jobs)
+            .run_grid()
+            .reports()
+            .expect("every seed completes");
+        reports.iter().map(|r| onsets(r, t_impair)).collect()
+    };
+    let serial = onset_tables(1);
+    let pooled = onset_tables(jobs);
     assert_eq!(serial, pooled, "onset tables diverged across job counts");
 
     println!(

@@ -14,7 +14,8 @@
 use std::env;
 
 use tcpburst_core::experiments::GaimdAlphaSweep;
-use tcpburst_core::{Protocol, Scenario, ScenarioBuilder};
+use tcpburst_core::{Protocol, Scenario, ScenarioBuilder, SweepSupervisor};
+use tcpburst_transport::GaimdParams;
 
 fn main() {
     let mut args = env::args().skip(1);
@@ -32,15 +33,32 @@ fn main() {
         .unwrap_or(1.0);
     let alphas = [0.0, 0.2, 0.4, 0.6, 0.8];
 
-    let base = ScenarioBuilder::paper()
-        .topology(|t| t.clients(clients))
-        .instrumentation(|i| i.secs(seconds))
-        .finish();
+    let configs: Vec<_> = alphas
+        .iter()
+        .map(|&alpha| {
+            ScenarioBuilder::paper()
+                .topology(|t| t.clients(clients))
+                .transport(|t| {
+                    t.protocol(Protocol::Gaimd)
+                        .gaimd(GaimdParams { alpha, beta })
+                })
+                .instrumentation(|i| i.secs(seconds))
+                .finish()
+        })
+        .collect();
 
     println!(
         "Sweeping GAIMD alpha in {alphas:?} (beta = {beta}), {clients} clients, {seconds} s each...\n"
     );
-    let sweep = GaimdAlphaSweep::run_with_jobs_from(&base, &alphas, beta, 0);
+    let reports = SweepSupervisor::from_configs(&configs)
+        .run_grid()
+        .reports()
+        .expect("every alpha completes");
+    let sweep = GaimdAlphaSweep {
+        cells: alphas.into_iter().zip(reports).collect(),
+        beta,
+        clients,
+    };
 
     // Regression anchor: with the default exponents GAIMD *is* Reno, so
     // the alpha = 0 row of a beta = 1 sweep must match a Reno run exactly.

@@ -155,6 +155,27 @@ diff "$TMP/svc_serial.txt" "$TMP/svc_chaos.txt"
 diff "$TMP/svc_serial.jsonl" "$TMP/svc_chaos.jsonl"
 echo "remote-worker kill requeued cleanly; tables and journal byte-identical"
 
+echo "==> sweep service: a replicate job prints the local replicate output"
+./target/release/tcpburst replicate --clients 5 --secs 1 --seeds 2 --no-cache \
+    > "$TMP/rep_local.txt"
+./target/release/tcpburst serve --listen 127.0.0.1:0 --once \
+    2> "$TMP/serve_rep.err" &
+SERVE_PID=$!
+ADDR=""
+for _ in $(seq 1 100); do
+    ADDR="$(sed -n 's/^listening on //p' "$TMP/serve_rep.err")"
+    [ -n "$ADDR" ] && break
+    sleep 0.1
+done
+[ -n "$ADDR" ] || { echo "sweep daemon never bound" >&2; exit 1; }
+./target/release/tcpburst worker --connect "$ADDR" 2> /dev/null &
+$TIMEOUT ./target/release/tcpburst submit --connect "$ADDR" \
+    replicate --clients 5 --secs 1 --seeds 2 --no-cache \
+    > "$TMP/rep_served.txt"
+wait "$SERVE_PID"
+diff "$TMP/rep_local.txt" "$TMP/rep_served.txt"
+echo "served replicate output is byte-identical to the local run"
+
 echo "==> golden traces: figure tables are job-count- and variant-stable"
 # Reno + Vegas, 20-client smoke, at two worker counts: the policy-layer
 # refactor must never move a byte of the figure tables, whatever engine
@@ -256,9 +277,9 @@ fi
 echo "core reads topology only through BuiltTopology handles"
 
 echo "==> scheduler layer: no claim pool outside run_indexed and run_points"
-# Grids run on two pools only: parallel.rs (run_indexed, the plain
-# fan-out) and workers.rs (run_points, every supervised grid, in-process
-# or on workers). A scoped thread pool anywhere else in core is a third
+# Grids run on two pools only: parallel.rs (run_indexed, the supervisor's
+# digests and store lookups) and workers.rs (run_points, every supervised
+# grid, in-process or on workers). A scoped thread pool anywhere else in core is a third
 # scheduler growing back. Comments are exempt.
 POOLS="$(grep -RnF 'thread::scope' crates/core/src --include='*.rs' \
     | grep -vE '^crates/core/src/(parallel|workers)\.rs:' \

@@ -21,9 +21,7 @@
 //! BLESS_GOLDEN=1 cargo test --test golden_reports
 //! ```
 
-use tcpburst_core::{
-    codec, parallel, Protocol, Scenario, ScenarioBuilder, ScenarioConfig, TopoKind,
-};
+use tcpburst_core::{codec, Protocol, ScenarioBuilder, ScenarioConfig, SweepSupervisor, TopoKind};
 
 const SECS: u64 = 20;
 const CLIENTS: usize = 64;
@@ -80,10 +78,16 @@ fn golden_path(stem: &str) -> std::path::PathBuf {
         .join(format!("../../tests/golden/report_{stem}.txt"))
 }
 
-/// Runs every case at `jobs` and returns `(stem, physics payload)` pairs.
+/// Runs every case as one grid at `jobs` and returns `(stem, physics
+/// payload)` pairs.
 fn run_cases(jobs: usize) -> Vec<(&'static str, String)> {
     let cases = cases();
-    let reports = parallel::run_indexed(jobs, cases.len(), |i| Scenario::run(&cases[i].1));
+    let configs: Vec<ScenarioConfig> = cases.iter().map(|(_, cfg)| *cfg).collect();
+    let reports = SweepSupervisor::from_configs(&configs)
+        .jobs(jobs)
+        .run_grid()
+        .reports()
+        .expect("every golden case completes");
     cases
         .iter()
         .zip(reports)
